@@ -44,7 +44,7 @@ def main() -> None:
 
     print("\n=== Discrimination-probability ratio f(x) = P(x)/P(1) ===")
     for n_half in (2, 3, 4):
-        xs, fs = ratio_curve(alpha_mag=1.0, n_half=n_half)
+        xs, _, fs = ratio_curve(alpha_mag=1.0, n_half=n_half)
         path = OUT / f"usd_ratio_n{n_half}.csv"
         path.write_text(
             "x,f\n" + "\n".join(f"{x},{f}" for x, f in zip(xs, fs)) + "\n"

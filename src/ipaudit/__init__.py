@@ -23,7 +23,6 @@ from .statemath import (
     eigenvalues,
     gram_matrix,
     min_eigenvalue,
-    probability_curve,
     ratio_curve,
     usd_asymptotic,
     usd_probability,
@@ -78,7 +77,6 @@ from .budget import (
     convert_power,
     envelope,
     load_chain_config,
-    vulnerability_bands,
 )
 
 __version__ = "0.1.0"

@@ -41,7 +41,6 @@ __all__ = [
     "ChainEnvelope",
     "chain_power",
     "envelope",
-    "vulnerability_bands",
     "Band",
     "ThresholdAssessment",
     "AssessmentReport",
@@ -88,6 +87,8 @@ class IpaThreshold:
     def __post_init__(self) -> None:
         if self.unit not in ("nW", "dBm"):
             raise ValueError(f"threshold unit must be 'nW' or 'dBm', got {self.unit!r}")
+        if not math.isfinite(self.power):
+            raise ValueError(f"threshold power must be finite, got {self.power} {self.unit}")
         if self.unit == "nW" and self.power <= 0:
             raise ValueError(f"threshold power must be positive, got {self.power} nW")
 
@@ -172,27 +173,11 @@ def _exact_colsums(arrays: Sequence[np.ndarray], n_points: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerBudget:
-    """Deliverable probe power per wavelength, with threshold bands."""
+    """Deliverable probe power per wavelength for one concrete chain."""
 
     wavelengths_nm: np.ndarray
     power_dbm: np.ndarray
     conservative_flags: np.ndarray
-    threshold_dbm: float | None = None
-    bands: tuple[tuple[float, float], ...] = ()
-
-    def with_threshold(self, threshold: "IpaThreshold") -> "PowerBudget":
-        """Attach a threshold and the exact bands exceeding it."""
-        thr_dbm = threshold.to_dbm()
-        bands = tuple(
-            _find_bands(self.wavelengths_nm, self.power_dbm, thr_dbm)
-        )
-        return PowerBudget(
-            self.wavelengths_nm,
-            self.power_dbm,
-            self.conservative_flags,
-            threshold_dbm=thr_dbm,
-            bands=bands,
-        )
 
 
 def chain_power(
@@ -268,29 +253,9 @@ def envelope(chain: Chain, library: Mapping[str, Component]) -> ChainEnvelope:
     )
 
 
-def _find_bands(
-    wavelengths: np.ndarray, power_dbm: np.ndarray, threshold_dbm: float
-) -> list[tuple[float, float]]:
-    """Maximal runs of grid points with power strictly above the threshold."""
-    mask = power_dbm > threshold_dbm
-    bands: list[tuple[float, float]] = []
-    start = None
-    for i, hit in enumerate(mask):
-        if hit and start is None:
-            start = i
-        elif not hit and start is not None:
-            bands.append((float(wavelengths[start]), float(wavelengths[i - 1])))
-            start = None
-    if start is not None:
-        bands.append((float(wavelengths[start]), float(wavelengths[-1])))
-    return bands
-
-
-def vulnerability_bands(
-    budget: PowerBudget, threshold: IpaThreshold
-) -> list[tuple[float, float]]:
-    """Wavelength bands where the budget exceeds the threshold (strict >)."""
-    return _find_bands(budget.wavelengths_nm, budget.power_dbm, threshold.to_dbm())
+def _find_bands(above: np.ndarray) -> np.ndarray:
+    """Maximal runs of True in `above`, as rows of [start, stop) indices."""
+    return np.flatnonzero(np.diff(above, prepend=False, append=False)).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -383,18 +348,15 @@ def _assess_curve(
     out = []
     for thr in thresholds:
         thr_dbm = thr.to_dbm()
-        raw = _find_bands(wavelengths, power_dbm, thr_dbm)
-        bands = []
-        for rank, (lo, hi) in enumerate(raw):
-            sel = (wavelengths >= lo) & (wavelengths <= hi)
-            bands.append(
-                Band(
-                    lo_nm=lo,
-                    hi_nm=hi,
-                    severity="highest" if rank == 0 else "normal",
-                    floored_only=bool(np.all(flags[sel])),
-                )
+        bands = [
+            Band(
+                lo_nm=float(wavelengths[start]),
+                hi_nm=float(wavelengths[stop - 1]),
+                severity="highest" if rank == 0 else "normal",
+                floored_only=bool(np.all(flags[start:stop])),
             )
+            for rank, (start, stop) in enumerate(_find_bands(power_dbm > thr_dbm))
+        ]
         if not bands:
             verdict = "protected"
         elif any(not b.floored_only for b in bands):
@@ -463,6 +425,8 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise ValueError(f"chain descriptor not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "slots" not in doc:

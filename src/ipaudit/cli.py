@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from .spectra import (
     loss_csv_text,
     resample,
 )
-from .statemath import probability_curve, ratio_curve
+from .statemath import ratio_curve
 
 LIBRARY_ENV_VAR = "IPAUDIT_LIBRARY"
 
@@ -53,37 +52,8 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header] + [",".join(str(c) for c in row) for row in rows]) + "\n"
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    """Resolved inputs for a chain audit."""
-
-    chain_path: Path
-    library_path: Path | None  # None -> bundled reference library
-    outdir: Path
-    threshold_overrides: tuple[IpaThreshold, ...] | None
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "AuditConfig":
-        chain_path = Path(args.config)
-        if not chain_path.is_file():
-            raise ValueError(f"chain descriptor not found: {chain_path}")
-        library = args.library or os.environ.get(LIBRARY_ENV_VAR)
-        library_path = None
-        if library:
-            library_path = Path(library)
-            if not library_path.is_dir():
-                raise ValueError(f"component library directory not found: {library_path}")
-        overrides = None
-        if args.threshold_nw:
-            overrides = tuple(
-                IpaThreshold(p, "nW", source="cli-override") for p in args.threshold_nw
-            )
-        return AuditConfig(chain_path, library_path, Path(args.outdir), overrides)
-
-
 def _cmd_usd(args: argparse.Namespace) -> int:
-    xs, ps = probability_curve(args.alpha, args.n, args.x_max, args.step)
-    _, fs = ratio_curve(args.alpha, args.n, args.x_max, args.step)
+    xs, ps, fs = ratio_curve(args.alpha, args.n, args.x_max, args.step)
     outdir = Path(args.outdir)
     _atomic_write(outdir / "usd_probability.csv", _csv("x,p_usd", zip(xs, ps)))
     _atomic_write(outdir / "usd_ratio.csv", _csv("x,f", zip(xs, fs)))
@@ -138,26 +108,17 @@ def _cmd_losses(args: argparse.Namespace) -> int:
 
 
 def _load_active_library(args: argparse.Namespace):
-    library = getattr(args, "library", None) or os.environ.get(LIBRARY_ENV_VAR)
-    if library:
-        path = Path(library)
-        if not path.is_dir():
-            raise ValueError(f"component library directory not found: {path}")
-        return load_library(path)
-    return reference_library()
+    library = args.library or os.environ.get(LIBRARY_ENV_VAR)
+    return load_library(library) if library else reference_library()
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    config = AuditConfig.from_args(args)
-    library = (
-        load_library(config.library_path)
-        if config.library_path is not None
-        else reference_library()
-    )
-    chain, thresholds = load_chain_config(config.chain_path)
-    if config.threshold_overrides:
-        thresholds = config.threshold_overrides
-    report = assess_ipa(chain, library, thresholds)
+    chain, thresholds = load_chain_config(args.config)
+    if args.threshold_nw:
+        thresholds = tuple(
+            IpaThreshold(p, "nW", source="cli-override") for p in args.threshold_nw
+        )
+    report = assess_ipa(chain, _load_active_library(args), thresholds)
 
     binding = min(a.threshold_dbm for a in report.max_power)
     rows = zip(
@@ -166,11 +127,11 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         report.p_max_dbm,
         [binding] * len(report.wavelengths_nm),
     )
-    outdir = config.outdir
+    outdir = Path(args.outdir)
     _atomic_write(outdir / "budget.csv", _csv("wavelength_nm,p_min_dbm,p_max_dbm,threshold_dbm", rows))
     _atomic_write(
         outdir / "report.json",
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+        json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
     for label, verdict in report.verdicts.items():
         print(f"{label}: {verdict}")

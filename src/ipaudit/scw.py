@@ -52,10 +52,10 @@ def bessel_j0(t: float) -> float:
 
     Sums (-t^2/4)^k / (k!)^2 and stops as soon as a term drops below 1e-16;
     the series alternates, so the truncation error is bounded by the first
-    omitted term.  Arguments beyond |t| = 12 are refused.
+    omitted term.  Arguments beyond |t| = 12, and NaN, are refused.
     """
     t = float(t)
-    if abs(t) > J0_DOMAIN_MAX:
+    if not abs(t) <= J0_DOMAIN_MAX:  # NaN fails too; the series would never end
         raise ValueError(f"|t| must be <= {J0_DOMAIN_MAX} for the J0 series, got {t}")
     q = -0.25 * t * t
     total = 1.0

@@ -172,6 +172,42 @@ class LossSpectrum:
         return self.wavelengths_nm.size
 
 
+def _read_csv(path: Path, headers: Sequence[list[str]]) -> tuple[list[str], np.ndarray]:
+    """Comment bodies and numeric rows of a CSV file.
+
+    Blank lines are skipped and '#' lines are returned as comments, in file
+    order.  The first other line must be one of `headers`; every later line
+    must have as many fields as that header, each a float.  Errors name
+    `path:line`.  Rows come back as a 2-d float array, one row per data line.
+    """
+    comments: list[str] = []
+    n_cols = 0
+    values: list[float] = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line.lstrip("#").strip())
+            continue
+        parts = line.split(",")
+        if not n_cols:
+            if [c.strip() for c in parts] not in headers:
+                expected = " or ".join(repr(",".join(h)) for h in headers)
+                raise ValueError(f"{path}:{lineno}: expected header {expected}, got {line!r}")
+            n_cols = len(parts)
+            continue
+        if len(parts) != n_cols:
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+    if not values:
+        raise ValueError(f"{path}: empty spectrum")
+    return comments, np.array(values).reshape(-1, n_cols)
+
+
 def load_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum CSV (header wavelength_nm,value, '#' comments).
 
@@ -180,45 +216,21 @@ def load_spectrum(path: str | Path) -> Spectrum:
     wavelengths are rejected.
     """
     path = Path(path)
+    comments, rows = _read_csv(path, [["wavelength_nm", "value"]])
     unit = UNIT_LINEAR
-    comments: list[str] = []
-    rows: list[tuple[float, float]] = []
-    header_seen = False
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.lower().startswith("unit:"):
-                unit = body.split(":", 1)[1].strip()
-            else:
-                comments.append(body)
-            continue
-        if not header_seen:
-            if [c.strip() for c in line.split(",")] != ["wavelength_nm", "value"]:
-                raise ValueError(
-                    f"{path}:{lineno}: expected header 'wavelength_nm,value', got {line!r}"
-                )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-    if not rows:
-        raise ValueError(f"{path}: empty spectrum")
-    rows.sort(key=lambda r: r[0])
-    w = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
+    notes = []
+    for body in comments:
+        if body.lower().startswith("unit:"):
+            unit = body.split(":", 1)[1].strip()
+        else:
+            notes.append(body)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    w = rows[:, 0]
     if np.any(np.diff(w) == 0):
         dup = w[np.flatnonzero(np.diff(w) == 0)[0]]
         raise ValueError(f"{path}: duplicate wavelength {dup} nm")
-    meta = "; ".join([f"source: {path.name}"] + comments)
-    return Spectrum(w, v, unit=unit, meta=meta)
+    meta = "; ".join([f"source: {path.name}"] + notes)
+    return Spectrum(w, rows[:, 1], unit=unit, meta=meta)
 
 
 def write_spectrum(spectrum: Spectrum, path: str | Path) -> None:
@@ -282,8 +294,9 @@ def insertion_loss(
     the floor and flagged; negative computed losses (measurement noise; a
     passive element cannot amplify) are clamped to 0 and noted in meta.
 
-    Run statistics attached to `mes` (and `ref`) propagate into a pointwise
-    loss standard deviation via first-order error propagation.
+    Run statistics attached to `mes` or `ref` propagate into a pointwise
+    loss standard deviation via first-order error propagation; n_runs is the
+    larger of the two run counts.
     """
     ref_s = _as_spectrum(ref)
     mes_s = _as_spectrum(mes)
@@ -314,17 +327,18 @@ def insertion_loss(
     if n_neg:
         notes.append(f"clamped {n_neg} negative loss value(s) to 0 dB")
 
-    n_runs = mes.n_runs if isinstance(mes, AggregatedSpectrum) else 1
+    # First-order propagation of the linear-power scatter into dB; the
+    # scatter of both sides, where repeated runs give one, adds in quadrature.
+    scattered = [
+        s for s in (mes, ref) if isinstance(s, AggregatedSpectrum) and s.stddev is not None
+    ]
+    n_runs = max([s.n_runs for s in scattered], default=1)
     stddev_db = None
-    if n_runs > 1:
-        # First-order propagation of the linear-power scatter into dB;
-        # reference scatter (if aggregated) adds in quadrature.
+    if scattered:
         rel_sq = np.zeros_like(loss)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(mes_s.values > 0, mes.stddev / mes_s.values, 0.0)
-        rel_sq += rel**2
-        if isinstance(ref, AggregatedSpectrum) and ref.stddev is not None:
-            rel_sq += (ref.stddev / ref_s.values) ** 2
+        for s in scattered:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel_sq += np.where(s.spectrum.values > 0, s.stddev / s.spectrum.values, 0.0) ** 2
         stddev_db = (_DB_PER_DECADE / _LN10) * np.sqrt(rel_sq)
     return LossSpectrum(
         ref_s.wavelengths_nm.copy(),
@@ -383,53 +397,24 @@ def write_loss_csv(loss: LossSpectrum, path: str | Path) -> None:
 
 def load_loss_csv(path: str | Path) -> LossSpectrum:
     """Read a loss spectrum written by write_loss_csv."""
-    path = Path(path)
+    columns = ["wavelength_nm", "loss_db", "floored"]
+    comments, rows = _read_csv(Path(path), [columns, columns + ["stddev_db"]])
     floor_db = DEFAULT_FLOOR_DB
     n_runs = 1
     meta = ""
-    header: list[str] | None = None
-    w: list[float] = []
-    loss: list[float] = []
-    fl: list[bool] = []
-    std: list[float] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("floor_db:"):
-                floor_db = float(body.split(":", 1)[1])
-            elif body.startswith("n_runs:"):
-                n_runs = int(body.split(":", 1)[1])
-            elif body.startswith("meta:"):
-                meta = body.split(":", 1)[1].strip()
-            continue
-        parts = [c.strip() for c in line.split(",")]
-        if header is None:
-            if parts not in (
-                ["wavelength_nm", "loss_db", "floored"],
-                ["wavelength_nm", "loss_db", "floored", "stddev_db"],
-            ):
-                raise ValueError(f"{path}:{lineno}: unexpected loss-CSV header {line!r}")
-            header = parts
-            continue
-        if len(parts) != len(header):
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
-        w.append(float(parts[0]))
-        loss.append(float(parts[1]))
-        fl.append(bool(int(parts[2])))
-        if len(header) == 4:
-            std.append(float(parts[3]))
-    if header is None or not w:
-        raise ValueError(f"{path}: empty loss spectrum")
-    stddev = np.array(std) if std else None
+    for body in comments:
+        if body.startswith("floor_db:"):
+            floor_db = float(body.split(":", 1)[1])
+        elif body.startswith("n_runs:"):
+            n_runs = int(body.split(":", 1)[1])
+        elif body.startswith("meta:"):
+            meta = body.split(":", 1)[1].strip()
     return LossSpectrum(
-        np.array(w),
-        np.array(loss),
-        np.array(fl),
+        rows[:, 0],
+        rows[:, 1],
+        rows[:, 2] != 0,
         floor_db=floor_db,
         n_runs=n_runs,
-        stddev_db=stddev,
+        stddev_db=rows[:, 3] if rows.shape[1] == 4 else None,
         meta=meta,
     )

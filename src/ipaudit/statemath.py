@@ -35,7 +35,6 @@ __all__ = [
     "usd_ratio",
     "usd_asymptotic",
     "remap_grid",
-    "probability_curve",
     "ratio_curve",
 ]
 
@@ -45,6 +44,7 @@ _TOEPLITZ_TOL = 1e-12
 _DIAGONAL_TOL = 1e-12
 _CIRCULANT_TOL = 1e-10
 _DFT_IMAG_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,12 @@ class StateSet:
     phases: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.alpha_mag < 0:
-            raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
+        if not (math.isfinite(self.alpha_mag) and self.alpha_mag >= 0):
+            raise ValueError(f"alpha_mag must be finite and >= 0, got {self.alpha_mag}")
         if self.n_half < 1:
             raise ValueError(f"n_half must be a positive integer, got {self.n_half}")
-        if self.remap_x < 0:
-            raise ValueError(f"remap_x must be >= 0, got {self.remap_x}")
+        if not (math.isfinite(self.remap_x) and self.remap_x >= 0):
+            raise ValueError(f"remap_x must be finite and >= 0, got {self.remap_x}")
         phases = tuple(
             k * self.remap_x * math.pi / self.n_half for k in range(2 * self.n_half)
         )
@@ -193,18 +193,32 @@ def usd_probability(alpha_mag: float, n_half: int, remap_x: float) -> float:
     return max(lam, 0.0)
 
 
+def _usd_baseline(alpha_mag: float, n_half: int) -> float:
+    """P(1), the USD probability of the undistorted grid, when resolvable.
+
+    A float64 eigensolve fixes each eigenvalue only to within about
+    M * eps * lambda_max (the Weyl bound, M = 2N states), so a P(1) at or
+    below that bound cannot serve as the denominator of f(x) and is refused.
+    alpha_mag = 0 (identical states, all-ones Gram matrix) is refused too.
+    """
+    lams = eigenvalues(gram_matrix(StateSet(alpha_mag, n_half, 1.0)))
+    p1 = max(float(lams[0]), 0.0)
+    bound = 2 * n_half * _EPS * float(lams[-1])
+    if p1 <= bound:
+        raise ValueError(
+            f"undefined ratio: baseline USD probability at x = 1 is P(1) = {p1:.3g} "
+            f"for N = {n_half}, alpha = {alpha_mag:g}, not above the resolution "
+            f"bound M*eps*lambda_max = {bound:.3g}"
+        )
+    return p1
+
+
 def usd_ratio(alpha_mag: float, n_half: int, remap_x: float) -> float:
     """USD probability at remap factor x relative to the undistorted grid.
 
-    f(x) = P(x) / P(1).  Raises when the baseline probability vanishes
-    (alpha_mag = 0 gives identical states and an all-ones Gram matrix).
+    f(x) = P(x) / P(1).  Raises when the baseline P(1) is not resolvable.
     """
-    baseline = usd_probability(alpha_mag, n_half, 1.0)
-    if baseline <= 0.0:
-        raise ValueError(
-            "undefined ratio: baseline USD probability at x = 1 is zero "
-            "(requires alpha_mag > 0)"
-        )
+    baseline = _usd_baseline(alpha_mag, n_half)
     return usd_probability(alpha_mag, n_half, remap_x) / baseline
 
 
@@ -232,25 +246,18 @@ def remap_grid(x_max: float = 2.0, step: float = 0.01) -> np.ndarray:
     return np.round(np.arange(n + 1) * step, 12)
 
 
-def probability_curve(
-    alpha_mag: float = 1.0,
-    n_half: int = 2,
-    x_max: float = 2.0,
-    step: float = 0.01,
-) -> tuple[np.ndarray, np.ndarray]:
-    """USD probability sampled over a remap-factor grid."""
-    xs = remap_grid(x_max, step)
-    ps = np.array([usd_probability(alpha_mag, n_half, x) for x in xs])
-    return xs, ps
-
-
 def ratio_curve(
     alpha_mag: float = 1.0,
     n_half: int = 2,
     x_max: float = 2.0,
     step: float = 0.01,
-) -> tuple[np.ndarray, np.ndarray]:
-    """USD probability ratio f(x) sampled over a remap-factor grid."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """USD probability P(x) and ratio f(x) = P(x) / P(1) over a remap grid.
+
+    Returns (x, P, f).  Each grid point is eigensolved once, plus once more
+    for the baseline P(1).
+    """
     xs = remap_grid(x_max, step)
-    fs = np.array([usd_ratio(alpha_mag, n_half, x) for x in xs])
-    return xs, fs
+    baseline = _usd_baseline(alpha_mag, n_half)
+    ps = np.array([usd_probability(alpha_mag, n_half, x) for x in xs])
+    return xs, ps, ps / baseline

@@ -17,7 +17,6 @@ from ipaudit.budget import (
     convert_power,
     envelope,
     load_chain_config,
-    vulnerability_bands,
 )
 from ipaudit.components import Component
 from ipaudit.spectra import LossSpectrum, canonical_grid
@@ -89,6 +88,12 @@ class TestIpaThreshold:
             IpaThreshold(0.0, "nW")
         with pytest.raises(ValueError):
             IpaThreshold(1.0, "W")
+
+    @pytest.mark.parametrize("unit", ["nW", "dBm"])
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_power(self, power, unit):
+        with pytest.raises(ValueError, match="finite"):
+            IpaThreshold(power, unit)
 
 
 class TestChainPower:
@@ -253,46 +258,51 @@ class TestEnvelope:
 
 
 class TestVulnerabilityBands:
-    def grid_budget(self, power_fn):
+    """Bands as assess_ipa reports them for a single-slot chain.
+
+    With one alternative in the slot both envelopes equal the chain's own
+    power, input - fsum(loss), so both sides must report the same bands.
+    """
+
+    def assess(self, power_fn, threshold=IpaThreshold(3.0, "nW")):
         grid = canonical_grid()
         power = np.array([power_fn(w) for w in grid])
         lib = {"x": make_component("x", {"forward": (40.0 - power, None)})}
-        chain = single_chain(lib["x"])
-        return chain_power(chain, lib, (0,))
+        report = assess_ipa(single_chain(lib["x"]), lib, [threshold])
+        assert report.min_power == report.max_power
+        return report
+
+    def bands(self, power_fn, threshold=IpaThreshold(3.0, "nW")):
+        return [(b.lo_nm, b.hi_nm) for b in self.assess(power_fn, threshold).max_power[0].bands]
 
     def test_single_step_band(self):
-        budget = self.grid_budget(lambda w: -50.0 if 400.0 <= w <= 410.0 else -60.0)
-        bands = vulnerability_bands(budget, IpaThreshold(3.0, "nW"))
-        assert bands == [(400.0, 410.0)]
+        assert self.bands(lambda w: -50.0 if 400.0 <= w <= 410.0 else -60.0) == [(400.0, 410.0)]
 
     def test_everywhere_below_threshold(self):
-        budget = self.grid_budget(lambda w: -60.0)
-        assert vulnerability_bands(budget, IpaThreshold(3.0, "nW")) == []
+        assert self.bands(lambda w: -60.0) == []
 
     def test_exact_equality_is_protected(self):
-        budget = self.grid_budget(lambda w: THREE_NW_DBM)
-        assert vulnerability_bands(budget, IpaThreshold(THREE_NW_DBM, "dBm")) == []
+        thr = IpaThreshold(THREE_NW_DBM, "dBm")
+        assert self.bands(lambda w: THREE_NW_DBM, thr) == []
 
     def test_multiple_bands_sorted_and_disjoint(self):
-        budget = self.grid_budget(
-            lambda w: -50.0 if (450 <= w <= 460) or (700 <= w <= 705) else -60.0
-        )
-        bands = vulnerability_bands(budget, IpaThreshold(3.0, "nW"))
+        bands = self.bands(lambda w: -50.0 if (450 <= w <= 460) or (700 <= w <= 705) else -60.0)
         assert bands == [(450.0, 460.0), (700.0, 705.0)]
 
     def test_single_point_band(self):
-        budget = self.grid_budget(lambda w: -50.0 if w == 612.0 else -60.0)
-        bands = vulnerability_bands(budget, IpaThreshold(3.0, "nW"))
-        assert bands == [(612.0, 612.0)]
+        assert self.bands(lambda w: -50.0 if w == 612.0 else -60.0) == [(612.0, 612.0)]
 
-    def test_with_threshold_attaches_exact_bands(self):
-        budget = self.grid_budget(lambda w: -50.0 if 500.0 <= w <= 505.0 else -60.0)
-        attached = budget.with_threshold(IpaThreshold(3.0, "nW"))
-        assert attached.threshold_dbm == pytest.approx(THREE_NW_DBM, abs=1e-9)
-        assert attached.bands == ((500.0, 505.0),)
+    def test_band_reaching_the_grid_end(self):
+        assert self.bands(lambda w: -50.0 if w >= 790.0 else -60.0) == [(790.0, 800.0)]
+
+    def test_bands_are_exactly_the_points_above_threshold(self):
+        report = self.assess(lambda w: -50.0 if 500.0 <= w <= 505.0 else -60.0)
+        assessment = report.max_power[0]
+        assert assessment.threshold_dbm == pytest.approx(THREE_NW_DBM, abs=1e-9)
+        assert [(b.lo_nm, b.hi_nm) for b in assessment.bands] == [(500.0, 505.0)]
         # bands are exactly the closure of points above the threshold
-        above = attached.power_dbm > attached.threshold_dbm
-        inside = (budget.wavelengths_nm >= 500.0) & (budget.wavelengths_nm <= 505.0)
+        above = report.p_max_dbm > assessment.threshold_dbm
+        inside = (report.wavelengths_nm >= 500.0) & (report.wavelengths_nm <= 505.0)
         assert np.array_equal(above, inside)
 
 

@@ -269,6 +269,39 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestFailClosed:
+    """Non-finite or unresolvable inputs exit 1 with one diagnostic line and
+    write nothing.  Run as subprocesses with a timeout, because a NaN once
+    sent the J0 series into an endless loop."""
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["scw", "--m", "nan"], "J0"),
+            (["usd", "--alpha", "nan"], "alpha_mag must be finite"),
+            (["usd", "--n", "10"], "undefined ratio"),
+            (["chain", "--threshold-nw", "nan"], "must be finite"),
+            (["chain", "--threshold-nw", "inf"], "must be finite"),
+        ],
+        ids=["scw-m-nan", "usd-alpha-nan", "usd-n-10", "chain-threshold-nan",
+             "chain-threshold-inf"],
+    )
+    def test_exits_one_without_outputs(self, tmp_path, argv, fragment):
+        if argv[0] == "chain":
+            cfg = tmp_path / "audit.chain.json"
+            chain_config(cfg, [("voa-em", "0V")])
+            argv = argv + ["--config", str(cfg)]
+        outdir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ipaudit", *argv, "--outdir", str(outdir)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("ipaudit:") and fragment in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not outdir.exists()
+
+
 class TestDeterminism:
     def run_twice(self, argv_fn, tmp_path):
         out_a = tmp_path / "a"

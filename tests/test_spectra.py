@@ -268,6 +268,22 @@ class TestInsertionLoss:
         expected = (10 / math.log(10)) * math.sqrt(0.02) / 1.0
         assert np.allclose(loss.stddev_db, expected, rtol=1e-12)
 
+    def test_reference_scatter_kept_with_one_measurement_run(self):
+        ref = aggregate_runs([flat(0.9), flat(1.0), flat(1.1)])
+        loss = insertion_loss(ref, flat(0.5))
+        assert loss.n_runs == 3
+        # sample stddev of (0.9, 1.0, 1.1) is 0.1 around a mean of 1.0
+        expected = (10 / math.log(10)) * 0.1 / 1.0
+        assert np.allclose(loss.stddev_db, expected, rtol=1e-12)
+
+    def test_run_count_is_the_larger_side(self):
+        ref = aggregate_runs([flat(0.9), flat(1.0), flat(1.1)])
+        mes = aggregate_runs([flat(0.45), flat(0.55)])
+        loss = insertion_loss(ref, mes)
+        assert loss.n_runs == 3
+        rel_sq = 0.1**2 + (math.sqrt(0.005) / 0.5) ** 2
+        assert np.allclose(loss.stddev_db, (10 / math.log(10)) * math.sqrt(rel_sq), rtol=1e-12)
+
     def test_plain_spectra_carry_no_statistics(self):
         loss = insertion_loss(flat(1.0), flat(0.5))
         assert loss.n_runs == 1
@@ -351,6 +367,18 @@ class TestLossCsvRoundTrip:
         assert np.array_equal(back.stddev_db, loss.stddev_db)
         assert back.floor_db == loss.floor_db
         assert back.n_runs == loss.n_runs
+
+    def test_malformed_row_names_path_and_line(self, tmp_path):
+        p = tmp_path / "loss.csv"
+        p.write_text("# floor_db: 50.0\nwavelength_nm,loss_db,floored\n400,1.0,0\n401,x,0\n")
+        with pytest.raises(ValueError, match=r"loss\.csv:4: malformed row"):
+            load_loss_csv(p)
+
+    def test_bad_header_names_path_and_line(self, tmp_path):
+        p = tmp_path / "loss.csv"
+        p.write_text("wavelength_nm,loss\n400,1.0\n")
+        with pytest.raises(ValueError, match=r"loss\.csv:1: expected header"):
+            load_loss_csv(p)
 
     def test_roundtrip_without_statistics(self, tmp_path):
         grid = np.array([400.0, 401.0])

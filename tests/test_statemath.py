@@ -17,7 +17,6 @@ from ipaudit.statemath import (
     eigenvalues,
     gram_matrix,
     min_eigenvalue,
-    probability_curve,
     ratio_curve,
     remap_grid,
     usd_asymptotic,
@@ -70,6 +69,10 @@ class TestStateSet:
             dict(alpha_mag=-0.1, n_half=1, remap_x=1.0),
             dict(alpha_mag=1.0, n_half=0, remap_x=1.0),
             dict(alpha_mag=1.0, n_half=1, remap_x=-0.5),
+            dict(alpha_mag=math.nan, n_half=1, remap_x=1.0),
+            dict(alpha_mag=math.inf, n_half=1, remap_x=1.0),
+            dict(alpha_mag=1.0, n_half=1, remap_x=math.nan),
+            dict(alpha_mag=1.0, n_half=1, remap_x=math.inf),
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):
@@ -206,6 +209,14 @@ class TestUsdRatio:
         with pytest.raises(ValueError, match="undefined ratio"):
             usd_ratio(0.0, 2, 0.5)
 
+    def test_unresolvable_baseline_is_an_error(self):
+        # At N = 10 the exact P(1) = 20 e^-1 / 19! ~ 6e-17 lies far below the
+        # float64 resolution M*eps*lambda_max ~ 3e-14 of the eigensolve.
+        with pytest.raises(ValueError, match="undefined ratio.*N = 10"):
+            usd_ratio(1.0, 10, 0.5)
+        with pytest.raises(ValueError, match="undefined ratio"):
+            ratio_curve(1.0, 10)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5])
     @pytest.mark.parametrize("n_half", [1, 2, 3, 4])
     def test_bounded_by_unity(self, alpha, n_half):
@@ -243,11 +254,12 @@ class TestCurves:
         assert len(xs) == 201
 
     def test_ratio_curve_contains_identity_point(self):
-        xs, fs = ratio_curve(1.0, 2, x_max=2.0, step=0.25)
+        xs, ps, fs = ratio_curve(1.0, 2, x_max=2.0, step=0.25)
         i = np.flatnonzero(xs == 1.0)[0]
         assert fs[i] == 1.0
 
-    def test_probability_curve_matches_pointwise_calls(self):
-        xs, ps = probability_curve(1.0, 1, x_max=1.0, step=0.5)
+    def test_ratio_curve_matches_pointwise_calls(self):
+        xs, ps, fs = ratio_curve(1.0, 1, x_max=1.0, step=0.5)
         assert list(xs) == [0.0, 0.5, 1.0]
-        assert ps[2] == usd_probability(1.0, 1, 1.0)
+        assert list(ps) == [usd_probability(1.0, 1, x) for x in xs]
+        assert list(fs) == [usd_ratio(1.0, 1, x) for x in xs]
