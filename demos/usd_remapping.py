@@ -16,8 +16,6 @@ import pathlib
 import numpy as np
 
 from ipaudit import (
-    StateSet,
-    eigenvalues,
     gram_matrix,
     ratio_curve,
     usd_asymptotic,
@@ -37,10 +35,9 @@ def main() -> None:
         print(f"  x={x:4.2f}: P = {p:.9f}   closed form {closed:.9f}")
 
     print("\n=== Gram spectrum of the undistorted 4-state set (alpha=1) ===")
-    g = gram_matrix(StateSet(1.0, 2, 1.0))
-    print("  general  :", np.array2string(eigenvalues(g, "general"), precision=6))
-    print("  DFT      :", np.array2string(eigenvalues(g, "circulant-dft"), precision=6))
-    print("  (circulant diagonalization only exists for integer x)")
+    g = gram_matrix(1.0, 2, 1.0)
+    print("  eigenvalues:", np.array2string(np.linalg.eigvalsh(g), precision=6))
+    print("  P(1) is the smallest one")
 
     print("\n=== Discrimination-probability ratio f(x) = P(x)/P(1) ===")
     for n_half in (2, 3, 4):

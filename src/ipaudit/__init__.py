@@ -18,11 +18,8 @@ into reproducible audit runs and plot-ready CSV exports.
 """
 
 from .statemath import (
-    GramMatrix,
-    StateSet,
-    eigenvalues,
+    MAX_GRID_POINTS,
     gram_matrix,
-    min_eigenvalue,
     ratio_curve,
     usd_asymptotic,
     usd_probability,

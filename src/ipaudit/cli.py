@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -35,7 +36,7 @@ from .spectra import (
     loss_csv_text,
     resample,
 )
-from .statemath import ratio_curve
+from .statemath import grid_steps, ratio_curve
 
 LIBRARY_ENV_VAR = "IPAUDIT_LIBRARY"
 
@@ -75,10 +76,9 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"grid must be MIN:MAX:STEP, got {text!r}") from exc
-    if step <= 0 or hi <= lo:
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf) or hi <= lo:
         raise ValueError(f"invalid grid {text!r}")
-    n = int(round((hi - lo) / step))
-    return lo + np.arange(n + 1) * step
+    return lo + np.arange(grid_steps(hi - lo, step) + 1) * step
 
 
 def _cmd_losses(args: argparse.Namespace) -> int:

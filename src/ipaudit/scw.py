@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .statemath import remap_grid
+
 __all__ = [
     "J0_DOMAIN_MAX",
     "HOLEVO_INDEX_MAX",
@@ -165,15 +167,12 @@ def holevo_curve(
     The end of the sweep must keep the attacked index inside the monotone
     window.
     """
-    if dm_max <= 0 or step <= 0:
-        raise ValueError("dm_max and step must be positive")
     if m * dm_max > HOLEVO_INDEX_MAX:
         raise ValueError(
             f"attacked index m*dm_max = {m * dm_max:.6g} exceeds the monotone "
             f"window [0, {HOLEVO_INDEX_MAX}]"
         )
-    n = int(round(dm_max / step))
-    dms = np.round(np.arange(n + 1) * step, 12)
+    dms = remap_grid(dm_max, step)
     attacked = np.array([holevo_bound(alpha0_sq, m * dm) for dm in dms])
     baseline = np.full_like(attacked, holevo_bound(alpha0_sq, m))
     return dms, attacked, baseline

@@ -300,8 +300,8 @@ def insertion_loss(
     """
     ref_s = _as_spectrum(ref)
     mes_s = _as_spectrum(mes)
-    if floor_db <= 0:
-        raise ValueError(f"floor_db must be positive, got {floor_db}")
+    if not 0 < floor_db < math.inf:
+        raise ValueError(f"floor_db must be finite and positive, got {floor_db}")
     if not np.array_equal(ref_s.wavelengths_nm, mes_s.wavelengths_nm):
         raise ValueError("reference and measurement grids differ; resample first")
     if ref_s.unit != UNIT_LINEAR or mes_s.unit != UNIT_LINEAR:

@@ -282,18 +282,35 @@ class TestFailClosed:
             (["usd", "--n", "10"], "undefined ratio"),
             (["chain", "--threshold-nw", "nan"], "must be finite"),
             (["chain", "--threshold-nw", "inf"], "must be finite"),
+            (["usd", "--n", "8", "--alpha", "0.85"], "undefined ratio"),
+            (["usd", "--n", "10", "--alpha", "1.2"], "undefined ratio"),
+            (["usd", "--x-max", "inf"], "finite and positive"),
+            (["usd", "--x-max", "1e9", "--step", "1e-9"], "MAX_GRID_POINTS"),
+            (["scw", "--m", "0", "--dm", "inf"], "finite and positive"),
+            (["losses", "--grid", "400:inf:1"], "invalid grid"),
+            (["losses", "--floor-db", "nan"], "floor_db must be finite"),
+            (["losses", "--floor-db", "inf"], "floor_db must be finite"),
         ],
         ids=["scw-m-nan", "usd-alpha-nan", "usd-n-10", "chain-threshold-nan",
-             "chain-threshold-inf"],
+             "chain-threshold-inf", "usd-n-8-alpha-0.85", "usd-n-10-alpha-1.2",
+             "usd-x-max-inf", "usd-grid-over-cap", "scw-dm-inf", "losses-grid-inf",
+             "losses-floor-nan", "losses-floor-inf"],
     )
     def test_exits_one_without_outputs(self, tmp_path, argv, fragment):
+        outdir = tmp_path / "out"
         if argv[0] == "chain":
             cfg = tmp_path / "audit.chain.json"
             chain_config(cfg, [("voa-em", "0V")])
             argv = argv + ["--config", str(cfg)]
-        outdir = tmp_path / "out"
+        if argv[0] == "losses":
+            ref, mes = tmp_path / "ref.csv", tmp_path / "mes.csv"
+            write_raw_spectrum(ref, np.ones(401))
+            write_raw_spectrum(mes, np.full(401, 1e-9))
+            argv = argv + ["--ref", str(ref), "--mes", str(mes), "--out", str(outdir / "loss.csv")]
+        else:
+            argv = argv + ["--outdir", str(outdir)]
         proc = subprocess.run(
-            [sys.executable, "-m", "ipaudit", *argv, "--outdir", str(outdir)],
+            [sys.executable, "-m", "ipaudit", *argv],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 1

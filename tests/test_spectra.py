@@ -222,6 +222,11 @@ class TestInsertionLoss:
         assert loss.floored[1] and loss.loss_db[1] == 50.0
         assert loss.floored[2] and loss.loss_db[2] == 50.0  # -inf ratio floors too
 
+    @pytest.mark.parametrize("floor_db", [math.nan, math.inf, -math.inf, 0.0, -3.0])
+    def test_rejects_a_floor_that_is_not_finite_and_positive(self, floor_db):
+        with pytest.raises(ValueError, match="floor_db must be finite and positive"):
+            insertion_loss(flat(1.0), flat(1e-9), floor_db=floor_db)
+
     def test_negative_loss_clamped_and_noted(self):
         loss = insertion_loss(flat(1.0), flat(1.1))
         assert np.all(loss.loss_db == 0.0)
