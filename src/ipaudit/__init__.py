@@ -18,6 +18,7 @@ into reproducible audit runs and plot-ready CSV exports.
 """
 
 from .statemath import (
+    MAX_GRAM_ENTRIES,
     MAX_GRID_POINTS,
     gram_matrix,
     ratio_curve,
@@ -27,12 +28,10 @@ from .statemath import (
 )
 from .scw import (
     HOLEVO_INDEX_MAX,
-    ScwParams,
     bessel_j0,
     binary_entropy,
     holevo_bound,
     holevo_curve,
-    holevo_gain,
     sideband_carrier_ratio,
     sideband_power,
 )
@@ -48,7 +47,6 @@ from .spectra import (
     load_spectrum,
     resample,
     write_loss_csv,
-    write_spectrum,
 )
 from .components import (
     Anchor,
@@ -66,11 +64,9 @@ from .budget import (
     Chain,
     ChainEnvelope,
     IpaThreshold,
-    PowerBudget,
     Slot,
     ThresholdAssessment,
     assess_ipa,
-    chain_power,
     convert_power,
     envelope,
     load_chain_config,

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .components import Component
-from .spectra import LossSpectrum, canonical_grid
+from .spectra import canonical_grid
 
 __all__ = [
     "DAMAGE_LIMIT_DBM",
@@ -37,9 +37,7 @@ __all__ = [
     "IpaThreshold",
     "Slot",
     "Chain",
-    "PowerBudget",
     "ChainEnvelope",
-    "chain_power",
     "envelope",
     "Band",
     "ThresholdAssessment",
@@ -134,17 +132,21 @@ class Chain:
     input_power_dbm: float = DAMAGE_LIMIT_DBM
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.input_power_dbm):
+            raise ValueError(f"input_power_dbm must be finite, got {self.input_power_dbm}")
         object.__setattr__(self, "slots", tuple(self.slots))
 
 
 def _resolve(
     chain: Chain, library: Mapping[str, Component]
-) -> list[list[LossSpectrum]]:
-    """Loss spectra per slot per alternative; validates ids and directions."""
-    resolved: list[list[LossSpectrum]] = []
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Grid and, per slot, the alternatives' (loss_db, floored) arrays, each
+    stacked as (alternatives, wavelengths); an empty chain gets the canonical
+    grid.  Validates ids, directions and grids."""
     grid = None
+    stacks = []
     for i, slot in enumerate(chain.slots):
-        losses = []
+        rows = []
         for comp_id, direction in slot.alternatives:
             comp = library.get(comp_id)
             if comp is None:
@@ -159,9 +161,9 @@ def _resolve(
                 grid = loss.wavelengths_nm
             elif not np.array_equal(loss.wavelengths_nm, grid):
                 raise ValueError("chain mixes wavelength grids")
-            losses.append(loss)
-        resolved.append(losses)
-    return resolved
+            rows.append((loss.loss_db, loss.floored))
+        stacks.append(tuple(np.vstack(col) for col in zip(*rows)))
+    return (canonical_grid() if grid is None else grid), stacks
 
 
 def _exact_colsums(arrays: Sequence[np.ndarray], n_points: int) -> np.ndarray:
@@ -172,51 +174,13 @@ def _exact_colsums(arrays: Sequence[np.ndarray], n_points: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PowerBudget:
-    """Deliverable probe power per wavelength for one concrete chain."""
-
-    wavelengths_nm: np.ndarray
-    power_dbm: np.ndarray
-    conservative_flags: np.ndarray
-
-
-def chain_power(
-    chain: Chain,
-    library: Mapping[str, Component],
-    selection: Sequence[int],
-) -> PowerBudget:
-    """Power budget for one concrete component choice per slot.
-
-    P(lambda) = input_power_dbm - sum of the selected losses; slots commute
-    exactly (the sum is evaluated exactly before the single final rounding).
-    Points where any selected loss was floored are flagged conservative.
-    """
-    resolved = _resolve(chain, library)
-    if len(selection) != len(chain.slots):
-        raise ValueError(
-            f"selection names {len(selection)} slots, chain has {len(chain.slots)}"
-        )
-    chosen: list[LossSpectrum] = []
-    for i, (sel, options) in enumerate(zip(selection, resolved)):
-        if not 0 <= sel < len(options):
-            raise ValueError(f"slot {i}: selection index {sel} out of range")
-        chosen.append(options[sel])
-    grid = resolved[0][0].wavelengths_nm if resolved else canonical_grid()
-    total = _exact_colsums([c.loss_db for c in chosen], grid.size)
-    flags = np.zeros(grid.size, dtype=bool)
-    for c in chosen:
-        flags |= c.floored
-    return PowerBudget(grid, chain.input_power_dbm - total, flags)
-
-
-@dataclass(frozen=True)
 class ChainEnvelope:
     """Pointwise extremes of the total chain loss over all alternatives.
 
     Because the total is a per-slot sum, minimizing (maximizing) each slot
     independently at each wavelength is exactly the minimum (maximum) over
-    all concrete selections.  Flags mark wavelengths where the extremal
-    alternative's loss was floored.
+    all concrete selections; with one alternative per slot both are that
+    chain's total.  Flags mark where the extremal alternative was floored.
     """
 
     wavelengths_nm: np.ndarray
@@ -227,30 +191,21 @@ class ChainEnvelope:
 
 
 def envelope(chain: Chain, library: Mapping[str, Component]) -> ChainEnvelope:
-    """Min/max total-loss envelopes of a chain over its slot alternatives."""
-    resolved = _resolve(chain, library)
-    grid = resolved[0][0].wavelengths_nm if resolved else canonical_grid()
-    n = grid.size
-    min_parts, max_parts = [], []
-    min_flags = np.zeros(n, dtype=bool)
-    max_flags = np.zeros(n, dtype=bool)
-    for options in resolved:
-        losses = np.vstack([o.loss_db for o in options])
-        floored = np.vstack([o.floored for o in options])
-        cols = np.arange(n)
-        lo_idx = np.argmin(losses, axis=0)
-        hi_idx = np.argmax(losses, axis=0)
-        min_parts.append(losses[lo_idx, cols])
-        max_parts.append(losses[hi_idx, cols])
-        min_flags |= floored[lo_idx, cols]
-        max_flags |= floored[hi_idx, cols]
-    return ChainEnvelope(
-        wavelengths_nm=grid,
-        min_total_db=_exact_colsums(min_parts, n),
-        max_total_db=_exact_colsums(max_parts, n),
-        min_conservative=min_flags,
-        max_conservative=max_flags,
-    )
+    """Min/max total-loss envelopes over slot alternatives (the one chain sum)."""
+    grid, stacks = _resolve(chain, library)
+
+    def extreme(pick) -> tuple[np.ndarray, np.ndarray]:
+        parts = []
+        flags = np.zeros(grid.size, dtype=bool)
+        for losses, floored in stacks:
+            idx = pick(losses, axis=0)[None]
+            parts.append(np.take_along_axis(losses, idx, axis=0)[0])
+            flags |= np.take_along_axis(floored, idx, axis=0)[0]
+        return _exact_colsums(parts, grid.size), flags
+
+    min_total, min_flags = extreme(np.argmin)
+    max_total, max_flags = extreme(np.argmax)
+    return ChainEnvelope(grid, min_total, max_total, min_flags, max_flags)
 
 
 def _find_bands(above: np.ndarray) -> np.ndarray:

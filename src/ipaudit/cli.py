@@ -127,12 +127,12 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         report.p_max_dbm,
         [binding] * len(report.wavelengths_nm),
     )
+    # Render both files before writing either, so a refusal leaves no output.
+    budget_text = _csv("wavelength_nm,p_min_dbm,p_max_dbm,threshold_dbm", rows)
+    report_text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     outdir = Path(args.outdir)
-    _atomic_write(outdir / "budget.csv", _csv("wavelength_nm,p_min_dbm,p_max_dbm,threshold_dbm", rows))
-    _atomic_write(
-        outdir / "report.json",
-        json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
-    )
+    _atomic_write(outdir / "budget.csv", budget_text)
+    _atomic_write(outdir / "report.json", report_text)
     for label, verdict in report.verdicts.items():
         print(f"{label}: {verdict}")
     print(f"wrote {outdir / 'report.json'} and {outdir / 'budget.csv'}")

@@ -19,7 +19,6 @@ window instead of reporting non-monotone values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +27,11 @@ from .statemath import remap_grid
 __all__ = [
     "J0_DOMAIN_MAX",
     "HOLEVO_INDEX_MAX",
-    "ScwParams",
     "bessel_j0",
     "binary_entropy",
     "sideband_power",
     "sideband_carrier_ratio",
     "holevo_bound",
-    "holevo_gain",
     "holevo_curve",
 ]
 
@@ -80,22 +77,20 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
-def sideband_power(alpha0_sq: float, m: float, mode: str = "exact") -> float:
-    """Total sideband power for total power alpha0_sq and modulation index m.
-
-    mode "exact" evaluates alpha0_sq * (1 - J0(m)^2); mode "small-m" uses the
-    quadratic approximation alpha0_sq * m^2 / 2, good to a few percent for
-    m below about 0.4.
-    """
+def _check_working_point(alpha0_sq: float, m: float) -> None:
     if alpha0_sq < 0:
         raise ValueError(f"alpha0_sq must be >= 0, got {alpha0_sq}")
+    if not math.isfinite(alpha0_sq):
+        raise ValueError(f"alpha0_sq must be finite, got {alpha0_sq}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if mode == "exact":
-        return alpha0_sq * (1.0 - bessel_j0(m) ** 2)
-    if mode == "small-m":
-        return alpha0_sq * m * m / 2.0
-    raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'small-m'")
+
+
+def sideband_power(alpha0_sq: float, m: float) -> float:
+    """Total sideband power alpha0_sq * (1 - J0(m)^2) for total power alpha0_sq
+    and modulation index m."""
+    _check_working_point(alpha0_sq, m)
+    return alpha0_sq * (1.0 - bessel_j0(m) ** 2)
 
 
 def sideband_carrier_ratio(m: float) -> float:
@@ -108,51 +103,9 @@ def sideband_carrier_ratio(m: float) -> float:
 
 def holevo_bound(alpha0_sq: float, m: float) -> float:
     """Eavesdropper information bound chi for the sideband encoding, in bits."""
-    if alpha0_sq < 0:
-        raise ValueError(f"alpha0_sq must be >= 0, got {alpha0_sq}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    _check_working_point(alpha0_sq, m)
     p = (1.0 - math.exp(-alpha0_sq * (1.0 - bessel_j0(2.0 * m) ** 2))) / 2.0
     return binary_entropy(p)
-
-
-@dataclass(frozen=True)
-class ScwParams:
-    """Subcarrier-wave working point and a multiplicative index attack.
-
-    alpha0_sq is the total power (mean photon number), m the modulation
-    index, and dm the factor by which the attack scales the index.  The
-    attacked index m*dm must stay inside the monotone window [0, 1.2024].
-    """
-
-    alpha0_sq: float
-    m: float
-    dm: float
-
-    def __post_init__(self) -> None:
-        if self.alpha0_sq < 0:
-            raise ValueError(f"alpha0_sq must be >= 0, got {self.alpha0_sq}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
-        if self.dm <= 0:
-            raise ValueError(f"dm must be > 0, got {self.dm}")
-        attacked = self.m * self.dm
-        if attacked > HOLEVO_INDEX_MAX:
-            raise ValueError(
-                f"attacked index m*dm = {attacked:.6g} exceeds the monotone "
-                f"window [0, {HOLEVO_INDEX_MAX}]"
-            )
-
-
-def holevo_gain(params: ScwParams) -> tuple[float, float]:
-    """Holevo bound at the attacked index versus the baseline index.
-
-    Returns (chi_attacked, chi_baseline).  Inside the monotone window the
-    attacked value is never below the baseline for dm >= 1.
-    """
-    attacked = holevo_bound(params.alpha0_sq, params.m * params.dm)
-    baseline = holevo_bound(params.alpha0_sq, params.m)
-    return attacked, baseline
 
 
 def holevo_curve(

@@ -32,7 +32,6 @@ __all__ = [
     "AggregatedSpectrum",
     "LossSpectrum",
     "load_spectrum",
-    "write_spectrum",
     "aggregate_runs",
     "insertion_loss",
     "resample",
@@ -155,6 +154,8 @@ class LossSpectrum:
             raise ValueError("non-finite loss value")
         if np.any(loss < 0):
             raise ValueError("losses must be >= 0 dB (clamp before constructing)")
+        if not 0 < self.floor_db < math.inf:
+            raise ValueError(f"floor_db must be finite and positive, got {self.floor_db}")
         if np.any(loss[fl] != self.floor_db):
             raise ValueError("floored points must hold exactly the floor value")
         if (self.n_runs > 1) != (self.stddev_db is not None):
@@ -233,16 +234,6 @@ def load_spectrum(path: str | Path) -> Spectrum:
     return Spectrum(w, rows[:, 1], unit=unit, meta=meta)
 
 
-def write_spectrum(spectrum: Spectrum, path: str | Path) -> None:
-    """Write a spectrum in the CSV format understood by load_spectrum."""
-    path = Path(path)
-    lines = [f"# unit: {spectrum.unit}"]
-    lines.append("wavelength_nm,value")
-    for w, v in zip(spectrum.wavelengths_nm, spectrum.values):
-        lines.append(f"{float(w)!r},{float(v)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def aggregate_runs(runs: Sequence[Spectrum], mode: str = "mean") -> AggregatedSpectrum:
     """Combine repeated measurement runs taken on one wavelength grid.
 
@@ -300,8 +291,6 @@ def insertion_loss(
     """
     ref_s = _as_spectrum(ref)
     mes_s = _as_spectrum(mes)
-    if not 0 < floor_db < math.inf:
-        raise ValueError(f"floor_db must be finite and positive, got {floor_db}")
     if not np.array_equal(ref_s.wavelengths_nm, mes_s.wavelengths_nm):
         raise ValueError("reference and measurement grids differ; resample first")
     if ref_s.unit != UNIT_LINEAR or mes_s.unit != UNIT_LINEAR:

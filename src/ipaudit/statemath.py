@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "MAX_GRID_POINTS",
+    "MAX_GRAM_ENTRIES",
     "gram_matrix",
     "usd_probability",
     "usd_ratio",
@@ -34,9 +35,13 @@ __all__ = [
     "ratio_curve",
 ]
 
-# Largest number of points a sweep grid may hold; bounds the work (and the
-# memory of the stacked Gram matrices) that one request can trigger.
+# Largest number of points a sweep grid may hold; bounds the work that one
+# request can trigger.
 MAX_GRID_POINTS = 10**6
+# Largest number of complex entries K * M^2 in one stack of K Gram matrices
+# of size M = 2N (256 MiB of complex128).  The smallest power of two that
+# admits a full MAX_GRID_POINTS grid plus its x = 1 baseline at N = 2.
+MAX_GRAM_ENTRIES = 2**24
 
 _EPS = float(np.finfo(float).eps)
 # A float64 Hermitian eigensolve fixes each eigenvalue only to within about
@@ -58,19 +63,31 @@ def gram_matrix(alpha_mag: float, n_half: int, remap_x) -> np.ndarray:
     phase angle phi is exp(a^2 * (exp(i*phi) - 1)); states j and k are
     separated by phi_(k-j), so each matrix is Toeplitz, indexed by |k - j|,
     with the lower triangle the exact conjugate of the upper one: Hermitian
-    to the last bit, with a unit diagonal.
+    to the last bit, with a unit diagonal.  A stack of more than
+    MAX_GRAM_ENTRIES entries is refused before anything is allocated.
     """
     if not (math.isfinite(alpha_mag) and alpha_mag >= 0):
         raise ValueError(f"alpha_mag must be finite and >= 0, got {alpha_mag}")
+    try:
+        alpha_sq = alpha_mag**2
+    except OverflowError:  # a Python float squared past the largest double
+        alpha_sq = math.inf
+    if not math.isfinite(alpha_sq):
+        raise ValueError(f"alpha_mag must be finite when squared, but {alpha_mag}**2 overflows")
     if n_half < 1:
         raise ValueError(f"n_half must be a positive integer, got {n_half}")
     xs = np.asarray(remap_x, dtype=float)
+    if xs.size * (2 * n_half) ** 2 > MAX_GRAM_ENTRIES:
+        raise ValueError(
+            f"{xs.size} Gram matrices of size {2 * n_half} hold more than "
+            f"MAX_GRAM_ENTRIES = {MAX_GRAM_ENTRIES} entries"
+        )
     bad = ~(np.isfinite(xs) & (xs >= 0))
     if np.any(bad):
         raise ValueError(f"remap_x must be finite and >= 0, got {xs[bad].flat[0]}")
     k = np.arange(2 * n_half)
     phases = xs[..., None] * k * math.pi / n_half
-    upper = np.exp(alpha_mag**2 * (np.exp(1j * phases) - 1.0))
+    upper = np.exp(alpha_sq * (np.exp(1j * phases) - 1.0))
     d = k[None, :] - k[:, None]
     g = upper[..., abs(d)]
     np.conjugate(g, out=g, where=d < 0)

@@ -124,7 +124,7 @@ def test_criterion_05_scw_baseline():
     start = time.perf_counter()
     mp.mp.dps = 40
 
-    sp = sideband_power(1.0, 0.434, "exact")
+    sp = sideband_power(1.0, 0.434)
     ratio = sp / (1.0 - sp)  # carrier holds the rest of a unit total power
     ratio_ok = abs(ratio - 0.100) <= 0.002
 

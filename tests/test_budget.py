@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipaudit.budget import (
     Chain,
@@ -13,7 +15,6 @@ from ipaudit.budget import (
     IpaThreshold,
     Slot,
     assess_ipa,
-    chain_power,
     convert_power,
     envelope,
     load_chain_config,
@@ -96,20 +97,42 @@ class TestIpaThreshold:
             IpaThreshold(power, unit)
 
 
+def chain_total(chain, lib, selection):
+    """Brute-force total loss of one concrete selection, summed with fsum."""
+    curves = [
+        lib[slot.alternatives[a][0]].losses[slot.alternatives[a][1]].loss_db
+        for slot, a in zip(chain.slots, selection)
+    ]
+    if not curves:
+        return np.zeros(canonical_grid().size)
+    return np.array([math.fsum(col) for col in zip(*curves)])
+
+
 class TestChainPower:
+    """With one alternative per slot, both envelopes are that chain's own
+    total, so P = input - fsum(losses) on either side."""
+
+    def power(self, chain, lib):
+        env = envelope(chain, lib)
+        assert np.array_equal(env.min_total_db, env.max_total_db)
+        assert np.array_equal(env.min_conservative, env.max_conservative)
+        assert np.array_equal(env.min_total_db, chain_total(chain, lib, [0] * len(chain.slots)))
+        return chain.input_power_dbm - env.min_total_db, env.min_conservative
+
     def test_two_flat_twenty_db_components(self):
         lib = {
             "a": make_component("a", {"forward": (20.0, None)}),
             "b": make_component("b", {"forward": (20.0, None)}),
         }
-        chain = single_chain(lib["a"], lib["b"])
-        budget = chain_power(chain, lib, (0, 0))
-        assert np.all(budget.power_dbm == 0.0)
-        assert not budget.conservative_flags.any()
+        power, flags = self.power(single_chain(lib["a"], lib["b"]), lib)
+        assert np.all(power == 0.0)
+        assert not flags.any()
 
     def test_empty_chain_passes_input_through(self):
-        budget = chain_power(Chain(()), {}, ())
-        assert np.all(budget.power_dbm == 40.0)
+        power, flags = self.power(Chain(()), {})
+        assert np.array_equal(envelope(Chain(()), {}).wavelengths_nm, canonical_grid())
+        assert np.all(power == 40.0)
+        assert not flags.any()
 
     def test_slot_permutation_invariance(self):
         vals = [0.1, 0.2, 0.3, 7.77]
@@ -118,10 +141,9 @@ class TestChainPower:
             for i, v in enumerate(vals)
         }
         comps = [lib[f"c{i}"] for i in range(len(vals))]
-        base = chain_power(single_chain(*comps), lib, (0,) * 4).power_dbm
+        base, _ = self.power(single_chain(*comps), lib)
         for perm in itertools.permutations(range(4)):
-            permuted = single_chain(*(comps[i] for i in perm))
-            got = chain_power(permuted, lib, (0,) * 4).power_dbm
+            got, _ = self.power(single_chain(*(comps[i] for i in perm)), lib)
             assert np.array_equal(got, base)
 
     def test_adding_a_component_never_raises_power(self):
@@ -129,8 +151,8 @@ class TestChainPower:
             "a": make_component("a", {"forward": (13.0, None)}),
             "b": make_component("b", {"forward": (0.0, None)}),
         }
-        short = chain_power(single_chain(lib["a"]), lib, (0,)).power_dbm
-        longer = chain_power(single_chain(lib["a"], lib["b"]), lib, (0, 0)).power_dbm
+        short, _ = self.power(single_chain(lib["a"]), lib)
+        longer, _ = self.power(single_chain(lib["a"], lib["b"]), lib)
         assert np.all(longer <= short)
 
     def test_conservative_flags_follow_floored_points(self):
@@ -138,21 +160,20 @@ class TestChainPower:
         floored = grid <= 500.0
         vals = np.where(floored, 50.0, 30.0)
         lib = {"a": make_component("a", {"forward": (vals, floored)}, floor=50.0)}
-        budget = chain_power(single_chain(lib["a"]), lib, (0,))
-        assert np.array_equal(budget.conservative_flags, floored)
+        _, flags = self.power(single_chain(lib["a"]), lib)
+        assert np.array_equal(flags, floored)
 
     def test_unknown_component_and_direction(self):
         lib = {"a": make_component("a", {"forward": (1.0, None)})}
         with pytest.raises(ValueError, match="unknown component"):
-            chain_power(Chain((Slot((("ghost", "forward"),)),)), lib, (0,))
+            envelope(Chain((Slot((("ghost", "forward"),)),)), lib)
         with pytest.raises(ValueError, match="no.*direction"):
-            chain_power(Chain((Slot((("a", "backward"),)),)), lib, (0,))
+            envelope(Chain((Slot((("a", "backward"),)),)), lib)
 
-    def test_selection_length_checked(self):
-        lib = {"a": make_component("a", {"forward": (1.0, None)})}
-        chain = single_chain(lib["a"])
-        with pytest.raises(ValueError, match="selection"):
-            chain_power(chain, lib, (0, 0))
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_input_power(self, power):
+        with pytest.raises(ValueError, match="input_power_dbm must be finite"):
+            Chain((), input_power_dbm=power)
 
 
 class TestEnvelope:
@@ -184,8 +205,8 @@ class TestEnvelope:
         assert np.all(env.min_total_db == 5.0)
         assert np.all(env.max_total_db == 15.0)
         # brute force over both selections
-        pa = chain_power(chain, lib, (0,)).power_dbm
-        pb = chain_power(chain, lib, (1,)).power_dbm
+        pa = 40.0 - chain_total(chain, lib, (0,))
+        pb = 40.0 - chain_total(chain, lib, (1,))
         assert np.array_equal(40.0 - env.min_total_db, np.maximum(pa, pb))
 
     @pytest.mark.parametrize("n_slots", [1, 2, 3, 4])
@@ -251,10 +272,37 @@ class TestEnvelope:
         chain = Chain(tuple(slots))
         env = envelope(chain, lib)
         for sel in itertools.product(range(2), repeat=3):
-            p = chain_power(chain, lib, sel)
-            total = 40.0 - p.power_dbm
+            total = chain_total(chain, lib, sel)
             assert np.all(env.min_total_db <= total + 1e-12)
             assert np.all(total <= env.max_total_db + 1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 3), min_size=0, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_envelope_contains_and_attains_every_selection(self, counts, seed):
+        grid = canonical_grid()
+        rng = np.random.default_rng(seed)
+        lib = {}
+        slots = []
+        for s, count in enumerate(counts):
+            alts = []
+            for a in range(count):
+                cid = f"h{s}a{a}"
+                # a few coarse levels make ties between alternatives common
+                vals = rng.choice([0.0, 0.1, 0.3, 7.77, 12.5, 40.0], grid.size)
+                lib[cid] = make_component(cid, {"forward": (vals, None)})
+                alts.append((cid, "forward"))
+            slots.append(Slot(tuple(alts)))
+        chain = Chain(tuple(slots))
+        env = envelope(chain, lib)
+        totals = np.vstack([
+            chain_total(chain, lib, sel) for sel in itertools.product(*map(range, counts))
+        ])
+        assert np.all(env.min_total_db <= totals) and np.all(totals <= env.max_total_db)
+        assert np.array_equal(env.min_total_db, totals.min(axis=0))
+        assert np.array_equal(env.max_total_db, totals.max(axis=0))
 
 
 class TestVulnerabilityBands:

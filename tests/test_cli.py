@@ -1,6 +1,7 @@
 """Tests for the command-line front end: outputs, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -290,17 +291,29 @@ class TestFailClosed:
             (["losses", "--grid", "400:inf:1"], "invalid grid"),
             (["losses", "--floor-db", "nan"], "floor_db must be finite"),
             (["losses", "--floor-db", "inf"], "floor_db must be finite"),
+            (["usd", "--n", "100000"], "MAX_GRAM_ENTRIES"),
+            (["usd", "--alpha", "1e200"], "alpha_mag must be finite"),
+            (["scw", "--alpha0-sq", "nan"], "alpha0_sq must be finite"),
+            (["scw", "--alpha0-sq", "inf"], "alpha0_sq must be finite"),
         ],
         ids=["scw-m-nan", "usd-alpha-nan", "usd-n-10", "chain-threshold-nan",
              "chain-threshold-inf", "usd-n-8-alpha-0.85", "usd-n-10-alpha-1.2",
              "usd-x-max-inf", "usd-grid-over-cap", "scw-dm-inf", "losses-grid-inf",
-             "losses-floor-nan", "losses-floor-inf"],
+             "losses-floor-nan", "losses-floor-inf", "usd-n-over-gram-cap",
+             "usd-alpha-square-overflows", "scw-alpha0-sq-nan", "scw-alpha0-sq-inf"],
     )
     def test_exits_one_without_outputs(self, tmp_path, argv, fragment):
+        self.assert_refused(tmp_path, argv, fragment)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_chain_non_finite_input_power(self, tmp_path, power):
+        self.assert_refused(tmp_path, ["chain"], "input_power_dbm", input_power_dbm=power)
+
+    def assert_refused(self, tmp_path, argv, fragment, input_power_dbm=40.0):
         outdir = tmp_path / "out"
         if argv[0] == "chain":
             cfg = tmp_path / "audit.chain.json"
-            chain_config(cfg, [("voa-em", "0V")])
+            chain_config(cfg, [("voa-em", "0V")], input_power_dbm=input_power_dbm)
             argv = argv + ["--config", str(cfg)]
         if argv[0] == "losses":
             ref, mes = tmp_path / "ref.csv", tmp_path / "mes.csv"

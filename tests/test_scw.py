@@ -4,6 +4,8 @@ scipy.special.j0 and mpmath serve as independent oracles for the hand-rolled
 power series; frozen constants were computed with a 40-digit mpmath session.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -11,12 +13,10 @@ from scipy.special import j0 as scipy_j0
 
 from ipaudit.scw import (
     HOLEVO_INDEX_MAX,
-    ScwParams,
     bessel_j0,
     binary_entropy,
     holevo_bound,
     holevo_curve,
-    holevo_gain,
     sideband_carrier_ratio,
     sideband_power,
 )
@@ -112,32 +112,16 @@ class TestBinaryEntropy:
 
 class TestSidebandPower:
     def test_working_point_gives_one_to_ten(self):
-        sp = sideband_power(1.0, 0.434, "exact")
+        sp = sideband_power(1.0, 0.434)
         assert sp == pytest.approx(SIDEBAND_AT_0434, abs=1e-9)
         assert sp == pytest.approx(0.090910, abs=1e-4)
         assert sideband_carrier_ratio(0.434) == pytest.approx(0.100, abs=0.002)
 
     def test_no_modulation_no_sidebands(self):
-        assert sideband_power(1.0, 0.0, "exact") == 0.0
-
-    def test_small_m_approximation(self):
-        approx = sideband_power(1.0, 0.434, "small-m")
-        assert approx == pytest.approx(0.434**2 / 2, rel=1e-15)
-        exact = sideband_power(1.0, 0.434, "exact")
-        assert abs(approx - exact) / exact < 0.04
-
-    def test_small_m_relative_error_grows_quadratically(self):
-        for m in np.arange(0.02, 0.4341, 0.02):
-            exact = sideband_power(2.0, float(m), "exact")
-            approx = sideband_power(2.0, float(m), "small-m")
-            assert abs(approx - exact) / exact < 0.04
+        assert sideband_power(1.0, 0.0) == 0.0
 
     def test_scales_with_total_power(self):
         assert sideband_power(3.0, 0.3) == pytest.approx(3 * sideband_power(1.0, 0.3), rel=1e-12)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            sideband_power(1.0, 0.3, "taylor")
 
     def test_domain_error_propagates(self):
         with pytest.raises(ValueError, match="<= 12"):
@@ -173,36 +157,49 @@ class TestHolevoBound:
 
 
 class TestHolevoGain:
+    """The attacked index m*dm against the baseline m, through the public
+    holevo_bound and holevo_curve."""
+
     def test_identity_factor(self):
-        attacked, baseline = holevo_gain(ScwParams(1.0, 0.434, 1.0))
-        assert attacked == baseline
+        dms, attacked, baseline = holevo_curve(1.0, 0.434, 1.0, 0.01)
+        assert dms[-1] == 1.0
+        assert attacked[-1] == baseline[-1] == holevo_bound(1.0, 0.434)
 
     def test_published_attack_point(self):
-        attacked, baseline = holevo_gain(ScwParams(1.0, 0.434, 1.2))
+        attacked = holevo_bound(1.0, 0.434 * 1.2)
+        baseline = holevo_bound(1.0, 0.434)
         assert attacked == pytest.approx(0.6775, abs=0.005)
         assert baseline == pytest.approx(0.5829, abs=0.005)
         assert attacked > baseline
 
     def test_vanishing_factor_kills_the_channel(self):
-        attacked, _ = holevo_gain(ScwParams(1.0, 0.434, 1e-9))
-        assert attacked < 1e-8
+        dms, attacked, _ = holevo_curve(1.0, 0.434, 2.0, 0.01)
+        assert dms[0] == 0.0 and attacked[0] == 0.0
+        assert holevo_bound(1.0, 0.434 * 1e-9) < 1e-8
 
     def test_gain_nonnegative_for_amplifying_factors(self):
-        for dm in np.arange(1.0, 2.01, 0.1):
-            attacked, baseline = holevo_gain(ScwParams(1.0, 0.434, float(dm)))
-            assert attacked >= baseline
+        dms, attacked, baseline = holevo_curve(1.0, 0.434, 2.0, 0.01)
+        assert np.all(attacked[dms >= 1.0] >= baseline[dms >= 1.0])
 
     def test_monotone_window_enforced(self):
         with pytest.raises(ValueError, match="monotone"):
-            ScwParams(1.0, 0.7, 2.0)  # attacked index 1.4 > 1.2024
+            holevo_curve(1.0, 0.7, 2.0)  # attacked index 1.4 > 1.2024
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ScwParams(-1.0, 0.4, 1.0)
-        with pytest.raises(ValueError):
-            ScwParams(1.0, -0.4, 1.0)
-        with pytest.raises(ValueError):
-            ScwParams(1.0, 0.4, 0.0)
+        with pytest.raises(ValueError, match="alpha0_sq"):
+            holevo_curve(-1.0, 0.4, 1.0)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            holevo_curve(1.0, -0.4, 1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            holevo_curve(1.0, 0.4, 0.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            holevo_curve(1.0, 0.4, -1.0)
+
+    @pytest.mark.parametrize("alpha0_sq", [math.nan, math.inf, -1.0])
+    def test_rejects_alpha0_sq_outside_zero_to_inf(self, alpha0_sq):
+        for fn in (holevo_bound, sideband_power):
+            with pytest.raises(ValueError, match="alpha0_sq must be"):
+                fn(alpha0_sq, 0.4)
 
 
 class TestHolevoCurve:

@@ -16,7 +16,6 @@ from ipaudit.spectra import (
     load_spectrum,
     resample,
     write_loss_csv,
-    write_spectrum,
 )
 
 
@@ -130,13 +129,15 @@ class TestLoadSpectrum:
         with pytest.raises(ValueError, match=">= 0"):
             load_spectrum(p)
 
-    def test_write_then_load_roundtrip(self, tmp_path):
-        s = Spectrum([400.0, 450.5, 800.0], [0.1, 2.25e-7, 3.0], meta="fixture")
+    def test_repr_floats_read_back_exactly(self, tmp_path):
         p = tmp_path / "s.csv"
-        write_spectrum(s, p)
+        p.write_text(
+            "# unit: linear-power\nwavelength_nm,value\n400.0,0.1\n450.5,2.25e-07\n800.0,3.0\n"
+        )
         back = load_spectrum(p)
-        assert np.array_equal(back.wavelengths_nm, s.wavelengths_nm)
-        assert np.array_equal(back.values, s.values)
+        assert back.wavelengths_nm.tolist() == [400.0, 450.5, 800.0]
+        assert back.values.tolist() == [0.1, 2.25e-7, 3.0]
+        assert back.unit == "linear-power"
 
 
 class TestAggregateRuns:
@@ -383,6 +384,13 @@ class TestLossCsvRoundTrip:
         p = tmp_path / "loss.csv"
         p.write_text("wavelength_nm,loss\n400,1.0\n")
         with pytest.raises(ValueError, match=r"loss\.csv:1: expected header"):
+            load_loss_csv(p)
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "0", "-5"])
+    def test_rejects_a_floor_that_is_not_finite_and_positive(self, tmp_path, floor):
+        p = tmp_path / "loss.csv"
+        p.write_text(f"# floor_db: {floor}\nwavelength_nm,loss_db,floored\n400,1.0,0\n")
+        with pytest.raises(ValueError, match="floor_db must be finite and positive"):
             load_loss_csv(p)
 
     def test_roundtrip_without_statistics(self, tmp_path):

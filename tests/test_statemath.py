@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipaudit.statemath import (
+    MAX_GRAM_ENTRIES,
     MAX_GRID_POINTS,
     gram_matrix,
     ratio_curve,
@@ -290,6 +291,18 @@ class TestCurves:
         assert len(remap_grid(MAX_GRID_POINTS - 1, 1.0)) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
             remap_grid(MAX_GRID_POINTS, 1.0)
+
+    def test_gram_stack_is_capped_before_allocation(self):
+        # 4e10 entries (640 GB) are refused from the sizes alone.
+        with pytest.raises(ValueError, match="MAX_GRAM_ENTRIES"):
+            gram_matrix(1.0, 10**5, 1.0)
+        # The cap admits the largest grid the point cap allows at N = 2,
+        # plus the appended x = 1 baseline; that stack is never built here.
+        assert MAX_GRAM_ENTRIES >= 16 * (MAX_GRID_POINTS + 1)
+
+    def test_alpha_whose_square_overflows_is_refused(self):
+        with pytest.raises(ValueError, match="alpha_mag must be finite"):
+            gram_matrix(1e200, 2, 1.0)
 
     @pytest.mark.parametrize(
         "x_max, step",
