@@ -19,8 +19,8 @@ from ipaudit import (
     aggregate_runs,
     canonical_grid,
     insertion_loss,
+    loss_csv_text,
     resample,
-    write_loss_csv,
 )
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_output"
@@ -70,7 +70,7 @@ def main() -> None:
         print(f"  notes: {loss.meta}")
 
     path = OUT / "element_loss.csv"
-    write_loss_csv(loss, path)
+    path.write_text(loss_csv_text(loss), encoding="utf-8")
     print(f"  -> {path.name}")
 
 

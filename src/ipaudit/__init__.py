@@ -45,8 +45,8 @@ from .spectra import (
     insertion_loss,
     load_loss_csv,
     load_spectrum,
+    loss_csv_text,
     resample,
-    write_loss_csv,
 )
 from .components import (
     Anchor,

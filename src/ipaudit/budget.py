@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -255,40 +255,16 @@ class AssessmentReport:
         return {a.threshold.label(): a.verdict for a in self.max_power}
 
     def to_dict(self) -> dict:
-        def assessments(items: tuple[ThresholdAssessment, ...]) -> list[dict]:
-            return [
-                {
-                    "threshold": {
-                        "power": a.threshold.power,
-                        "unit": a.threshold.unit,
-                        "wavelength_nm": a.threshold.wavelength_nm,
-                        "source": a.threshold.source,
-                    },
-                    "threshold_dbm": a.threshold_dbm,
-                    "verdict": a.verdict,
-                    "bands": [
-                        {
-                            "lo_nm": b.lo_nm,
-                            "hi_nm": b.hi_nm,
-                            "severity": b.severity,
-                            "floored_only": b.floored_only,
-                        }
-                        for b in a.bands
-                    ],
-                }
-                for a in items
-            ]
-
         return {
             "input_power_dbm": self.chain_input_dbm,
-            "wavelength_nm": [float(w) for w in self.wavelengths_nm],
-            "p_max_dbm": [float(p) for p in self.p_max_dbm],
-            "p_min_dbm": [float(p) for p in self.p_min_dbm],
-            "max_conservative": [bool(f) for f in self.max_conservative],
-            "min_conservative": [bool(f) for f in self.min_conservative],
+            "wavelength_nm": self.wavelengths_nm.tolist(),
+            "p_max_dbm": self.p_max_dbm.tolist(),
+            "p_min_dbm": self.p_min_dbm.tolist(),
+            "max_conservative": self.max_conservative.tolist(),
+            "min_conservative": self.min_conservative.tolist(),
             "assessments": {
-                "max_power": assessments(self.max_power),
-                "min_power": assessments(self.min_power),
+                "max_power": [asdict(a) for a in self.max_power],
+                "min_power": [asdict(a) for a in self.min_power],
             },
             "verdicts": self.verdicts,
         }
@@ -405,6 +381,9 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
     if thr_docs is None:
         thresholds = DEFAULT_THRESHOLDS
     else:
+        for i, t in enumerate(thr_docs):
+            if not isinstance(t, dict) or "power" not in t:
+                raise ValueError(f"{path}: threshold {i} needs 'power'")
         thresholds = tuple(
             IpaThreshold(
                 power=float(t["power"]),

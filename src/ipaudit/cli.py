@@ -7,16 +7,15 @@ Subcommands:
     chain    power budget, vulnerability bands and verdicts for a chain
     library  validate and list a component library
 
-All outputs are plain CSV or JSON, written atomically, with no timestamps:
-identical inputs give byte-identical files.  Validation problems exit 1 with
-a single-line diagnostic on stderr; argparse reports unknown subcommands
-with exit code 2.
+All outputs are plain CSV or JSON, all staged before any is replaced, with no
+timestamps: identical inputs give byte-identical files.  Validation problems
+exit 1 with a single-line diagnostic on stderr; argparse reports unknown
+subcommands with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -31,42 +30,31 @@ from .scw import holevo_curve
 from .spectra import (
     DEFAULT_FLOOR_DB,
     aggregate_runs,
+    csv_text,
     insertion_loss,
+    json_text,
     load_spectrum,
     loss_csv_text,
     resample,
+    write_files,
 )
 from .statemath import grid_steps, ratio_curve
 
 LIBRARY_ENV_VAR = "IPAUDIT_LIBRARY"
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write text so the target never exists half-written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _csv(header: str, rows) -> str:
-    return "\n".join([header] + [",".join(str(c) for c in row) for row in rows]) + "\n"
-
-
 def _cmd_usd(args: argparse.Namespace) -> int:
     xs, ps, fs = ratio_curve(args.alpha, args.n, args.x_max, args.step)
-    outdir = Path(args.outdir)
-    _atomic_write(outdir / "usd_probability.csv", _csv("x,p_usd", zip(xs, ps)))
-    _atomic_write(outdir / "usd_ratio.csv", _csv("x,f", zip(xs, fs)))
-    print(f"wrote {outdir / 'usd_probability.csv'} and {outdir / 'usd_ratio.csv'}")
+    prob, ratio = Path(args.outdir, "usd_probability.csv"), Path(args.outdir, "usd_ratio.csv")
+    write_files({prob: csv_text("x,p_usd", (xs, ps)), ratio: csv_text("x,f", (xs, fs))})
+    print(f"wrote {prob} and {ratio}")
     return 0
 
 
 def _cmd_scw(args: argparse.Namespace) -> int:
     dms, attacked, baseline = holevo_curve(args.alpha0_sq, args.m, args.dm, args.step)
-    outdir = Path(args.outdir)
-    out = outdir / "holevo_vs_dm.csv"
-    _atomic_write(out, _csv("dm,chi_attacked,chi_baseline", zip(dms, attacked, baseline)))
+    out = Path(args.outdir, "holevo_vs_dm.csv")
+    write_files({out: csv_text("dm,chi_attacked,chi_baseline", (dms, attacked, baseline))})
     print(f"wrote {out}")
     return 0
 
@@ -94,14 +82,10 @@ def _cmd_losses(args: argparse.Namespace) -> int:
 
     ref = prepare(args.ref)
     mes = prepare(args.mes)
-    filters = None
-    if args.filters:
-        filters = load_spectrum(args.filters)
-        if grid is not None:
-            filters = resample(filters, grid)
+    filters = prepare([args.filters]) if args.filters else None
     loss = insertion_loss(ref, mes, filters, floor_db=args.floor_db)
     out = Path(args.out)
-    _atomic_write(out, loss_csv_text(loss))
+    write_files({out: loss_csv_text(loss)})
     n_floored = int(np.count_nonzero(loss.floored))
     print(f"wrote {out} ({len(loss)} points, {n_floored} at the {loss.floor_db} dB floor)")
     return 0
@@ -121,18 +105,13 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     report = assess_ipa(chain, _load_active_library(args), thresholds)
 
     binding = min(a.threshold_dbm for a in report.max_power)
-    rows = zip(
-        report.wavelengths_nm,
-        report.p_min_dbm,
-        report.p_max_dbm,
-        [binding] * len(report.wavelengths_nm),
-    )
-    # Render both files before writing either, so a refusal leaves no output.
-    budget_text = _csv("wavelength_nm,p_min_dbm,p_max_dbm,threshold_dbm", rows)
-    report_text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    cols = (report.wavelengths_nm, report.p_min_dbm, report.p_max_dbm,
+            np.full(report.wavelengths_nm.size, binding))
     outdir = Path(args.outdir)
-    _atomic_write(outdir / "budget.csv", budget_text)
-    _atomic_write(outdir / "report.json", report_text)
+    write_files({
+        outdir / "budget.csv": csv_text("wavelength_nm,p_min_dbm,p_max_dbm,threshold_dbm", cols),
+        outdir / "report.json": json_text(report.to_dict()),
+    })
     for label, verdict in report.verdicts.items():
         print(f"{label}: {verdict}")
     print(f"wrote {outdir / 'report.json'} and {outdir / 'budget.csv'}")

@@ -16,8 +16,9 @@ plus one loss CSV per direction.
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -27,8 +28,10 @@ from .spectra import (
     DEFAULT_FLOOR_DB,
     LossSpectrum,
     canonical_grid,
+    json_text,
     load_loss_csv,
-    write_loss_csv,
+    loss_csv_text,
+    write_files,
 )
 
 __all__ = [
@@ -71,6 +74,11 @@ class Anchor:
     def __post_init__(self) -> None:
         if self.source not in PROVENANCES:
             raise ValueError(f"unknown anchor source {self.source!r}")
+        if not (math.isfinite(self.wavelength_nm) and math.isfinite(self.loss_db)):
+            raise ValueError(
+                f"anchor {self.direction!r} must be finite, got "
+                f"{self.loss_db} dB @ {self.wavelength_nm} nm"
+            )
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,8 @@ class Component:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("component id must be non-empty")
+        if self.id in (".", "..") or any(c in str(self.id) for c in "/\\\0"):
+            raise ValueError(f"component id {self.id!r} must be one path segment")
         if self.kind not in KINDS:
             raise ValueError(f"unknown component kind {self.kind!r}")
         if self.provenance not in PROVENANCES:
@@ -357,13 +367,14 @@ def _direction_filename(direction: str) -> str:
 
 
 def write_library(library: Mapping[str, Component], root: str | Path) -> None:
-    """Materialize a library as one directory per component under root."""
+    """Materialize a library as one directory per component under root.
+
+    Every file is rendered before any is written, so a refusal writes nothing.
+    """
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
+    files = {}
     for comp_id in sorted(library):
         comp = library[comp_id]
-        comp_dir = root / comp.id
-        comp_dir.mkdir(parents=True, exist_ok=True)
         directions = {}
         for direction in sorted(comp.losses):
             fname = _direction_filename(direction)
@@ -372,26 +383,15 @@ def write_library(library: Mapping[str, Component], root: str | Path) -> None:
                     f"component {comp.id!r}: direction file name collision for {direction!r}"
                 )
             directions[direction] = fname
-            write_loss_csv(comp.losses[direction], comp_dir / fname)
-        metadata = {
+            files[root / comp.id / fname] = loss_csv_text(comp.losses[direction])
+        files[root / comp.id / _METADATA_NAME] = json_text({
             "id": comp.id,
             "kind": comp.kind,
             "provenance": comp.provenance,
             "directions": directions,
-            "anchors": [
-                {
-                    "direction": a.direction,
-                    "wavelength_nm": a.wavelength_nm,
-                    "loss_db": a.loss_db,
-                    "source": a.source,
-                    "is_minimum": a.is_minimum,
-                }
-                for a in comp.anchors
-            ],
-        }
-        (comp_dir / _METADATA_NAME).write_text(
-            json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+            "anchors": [asdict(a) for a in comp.anchors],
+        })
+    write_files(files)
 
 
 def load_component(comp_dir: str | Path) -> Component:
@@ -407,26 +407,27 @@ def load_component(comp_dir: str | Path) -> Component:
     for key in ("id", "kind", "provenance", "directions"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
-    losses = {}
-    for direction, fname in meta["directions"].items():
-        losses[direction] = load_loss_csv(comp_dir / fname)
-    anchors = tuple(
-        Anchor(
-            direction=a["direction"],
-            wavelength_nm=float(a["wavelength_nm"]),
-            loss_db=float(a["loss_db"]),
-            source=a.get("source", "published-text"),
-            is_minimum=bool(a.get("is_minimum", False)),
+    losses = {d: load_loss_csv(comp_dir / fname) for d, fname in meta["directions"].items()}
+    try:
+        anchors = tuple(
+            Anchor(
+                direction=a["direction"],
+                wavelength_nm=float(a["wavelength_nm"]),
+                loss_db=float(a["loss_db"]),
+                source=a.get("source", "published-text"),
+                is_minimum=bool(a.get("is_minimum", False)),
+            )
+            for a in meta.get("anchors", [])
         )
-        for a in meta.get("anchors", [])
-    )
-    return Component(
-        id=meta["id"],
-        kind=meta["kind"],
-        losses=losses,
-        provenance=meta["provenance"],
-        anchors=anchors,
-    )
+        return Component(
+            id=meta["id"],
+            kind=meta["kind"],
+            losses=losses,
+            provenance=meta["provenance"],
+            anchors=anchors,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from exc
 
 
 def load_library(root: str | Path) -> dict[str, Component]:

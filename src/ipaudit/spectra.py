@@ -16,10 +16,12 @@ standard deviation kept alongside.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +39,6 @@ __all__ = [
     "resample",
     "load_loss_csv",
     "loss_csv_text",
-    "write_loss_csv",
 ]
 
 UNIT_LINEAR = "linear-power"
@@ -209,6 +210,50 @@ def _read_csv(path: Path, headers: Sequence[list[str]]) -> tuple[list[str], np.n
     return comments, np.array(values).reshape(-1, n_cols)
 
 
+def csv_text(header: str, columns: Sequence, comments: Sequence[str] = ()) -> str:
+    """CSV text: a '# ' line per comment, the header, then one row per index.
+
+    Cells are repr over `.tolist()`: floats round-trip exactly, ints stay ints.
+    """
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = [f"# {c}" for c in comments] + [header] + [",".join(map(repr, r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_text(doc) -> str:
+    """Indented, key-sorted JSON text; NaN and inf are refused (RFC 8259)."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_files(files: Mapping[Path, str]) -> None:
+    """Write each text to its path, making missing parent directories.
+
+    Every text is first staged in a fresh temp file beside its target, opened
+    exclusively under a random name (mode 0666 minus the umask); only then is
+    each renamed over its target.  Nothing is replaced until everything is
+    rendered and staged, and no temp file outlives the call.
+    """
+    staged: dict[Path, Path] = {}
+    try:
+        for path, text in files.items():
+            if path.is_dir():  # refused here rather than half-way through the renames
+                raise IsADirectoryError(f"{path} is a directory")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            try:
+                fh = open(tmp, "x", encoding="utf-8")
+            except OSError as exc:  # name the target, not the random temp file
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
+            with fh:
+                staged[tmp] = path
+                fh.write(text)
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+
+
 def load_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum CSV (header wavelength_nm,value, '#' comments).
 
@@ -363,47 +408,41 @@ def resample(s: Spectrum, grid: Sequence[float] | np.ndarray) -> Spectrum:
 
 def loss_csv_text(loss: LossSpectrum) -> str:
     """Loss spectrum rendered as CSV text (exact float round-trip via repr)."""
-    lines = [f"# floor_db: {float(loss.floor_db)!r}", f"# n_runs: {loss.n_runs}"]
+    comments = [f"floor_db: {float(loss.floor_db)!r}", f"n_runs: {loss.n_runs}"]
     if loss.meta:
-        lines.append(f"# meta: {loss.meta}")
-    with_std = loss.stddev_db is not None
+        comments.append(f"meta: {loss.meta}")
     header = "wavelength_nm,loss_db,floored"
-    if with_std:
+    columns = [loss.wavelengths_nm, loss.loss_db, loss.floored.astype(int)]
+    if loss.stddev_db is not None:
         header += ",stddev_db"
-    lines.append(header)
-    for i, (w, v, f) in enumerate(zip(loss.wavelengths_nm, loss.loss_db, loss.floored)):
-        row = f"{float(w)!r},{float(v)!r},{int(f)}"
-        if with_std:
-            row += f",{float(loss.stddev_db[i])!r}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
-
-
-def write_loss_csv(loss: LossSpectrum, path: str | Path) -> None:
-    """Write a loss spectrum as CSV."""
-    Path(path).write_text(loss_csv_text(loss), encoding="utf-8")
+        columns.append(loss.stddev_db)
+    return csv_text(header, columns, comments)
 
 
 def load_loss_csv(path: str | Path) -> LossSpectrum:
-    """Read a loss spectrum written by write_loss_csv."""
+    """Read a loss spectrum written by loss_csv_text; refusals name the file."""
+    path = Path(path)
     columns = ["wavelength_nm", "loss_db", "floored"]
-    comments, rows = _read_csv(Path(path), [columns, columns + ["stddev_db"]])
+    comments, rows = _read_csv(path, [columns, columns + ["stddev_db"]])
     floor_db = DEFAULT_FLOOR_DB
     n_runs = 1
     meta = ""
-    for body in comments:
-        if body.startswith("floor_db:"):
-            floor_db = float(body.split(":", 1)[1])
-        elif body.startswith("n_runs:"):
-            n_runs = int(body.split(":", 1)[1])
-        elif body.startswith("meta:"):
-            meta = body.split(":", 1)[1].strip()
-    return LossSpectrum(
-        rows[:, 0],
-        rows[:, 1],
-        rows[:, 2] != 0,
-        floor_db=floor_db,
-        n_runs=n_runs,
-        stddev_db=rows[:, 3] if rows.shape[1] == 4 else None,
-        meta=meta,
-    )
+    try:
+        for body in comments:
+            if body.startswith("floor_db:"):
+                floor_db = float(body.split(":", 1)[1])
+            elif body.startswith("n_runs:"):
+                n_runs = int(body.split(":", 1)[1])
+            elif body.startswith("meta:"):
+                meta = body.split(":", 1)[1].strip()
+        return LossSpectrum(
+            rows[:, 0],
+            rows[:, 1],
+            rows[:, 2] != 0,
+            floor_db=floor_db,
+            n_runs=n_runs,
+            stddev_db=rows[:, 3] if rows.shape[1] == 4 else None,
+            meta=meta,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

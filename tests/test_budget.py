@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -484,6 +485,13 @@ class TestChainConfig:
         p = tmp_path / "chain.json"
         p.write_text(json.dumps({"slots": [{"alternatives": []}]}))
         with pytest.raises(ValueError, match="alternatives"):
+            load_chain_config(p)
+
+    @pytest.mark.parametrize("threshold", [{"unit": "nW"}, 3.0])
+    def test_threshold_without_power_names_the_file(self, tmp_path, threshold):
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps({"slots": [], "thresholds": [{"power": 3.0}, threshold]}))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: threshold 1 needs 'power'$"):
             load_chain_config(p)
 
     def test_rejects_invalid_json(self, tmp_path):

@@ -39,6 +39,14 @@ def chain_config(path, components, input_power_dbm=40.0, thresholds=None):
     path.write_text(json.dumps(doc, indent=2))
 
 
+def edit_metadata(comp_dir, edit):
+    path = comp_dir / "metadata.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+    return path
+
+
 def tree_bytes(root):
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -247,6 +255,65 @@ class TestLibraryCommand:
         assert main(["library", "--library", str(tmp_path / "missing")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ipaudit:") and "not found" in err
+
+
+class TestOutputFiles:
+    """Each subcommand stages all its outputs under fresh random temp names
+    before it replaces any of them, and leaves no temp file behind."""
+
+    def test_usd_keeps_a_users_tmp_file(self, tmp_path):
+        mine = tmp_path / "usd_ratio.csv.tmp"
+        mine.write_text("mine\n")
+        assert main(["usd", "--n", "1", "--outdir", str(tmp_path)]) == 0
+        assert mine.read_text() == "mine\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "usd_probability.csv", "usd_ratio.csv", "usd_ratio.csv.tmp"]
+
+    def test_usd_onto_a_directory_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "usd_ratio.csv").mkdir()
+        assert main(["usd", "--n", "1", "--outdir", str(tmp_path)]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.rglob("*")] == ["usd_ratio.csv"]
+
+    def test_export_onto_a_regular_file_adds_no_file(self, tmp_path, capsys):
+        export = tmp_path / "E"
+        export.mkdir()
+        (export / "voa-em").write_text("x\n")
+        assert main(["library", "--export", str(export)]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert [p for p in export.rglob("*") if p.is_file()] == [export / "voa-em"]
+
+    def test_export_name_collision_writes_nothing(self, tmp_path, capsys):
+        lib = tmp_path / "lib"
+        make_flat_library(lib, comp_id="aa")
+        make_flat_library(lib, comp_id="zz")
+        clash = {"a b": "forward.csv", "a-b": "forward.csv"}  # both export as a-b.csv
+        edit_metadata(lib / "zz", lambda m: m["directions"].update(clash))
+        export = tmp_path / "E"
+        assert main(["library", "--library", str(lib), "--export", str(export)]) == 1
+        assert "collision" in capsys.readouterr().err
+        assert not export.exists()
+
+    def test_export_refuses_an_id_that_leaves_the_root(self, tmp_path, capsys):
+        lib = tmp_path / "lib"
+        make_flat_library(lib)
+        edit_metadata(lib / "flat", lambda m: m.update(id="../escaped"))
+        export = tmp_path / "E" / "in"
+        assert main(["library", "--library", str(lib), "--export", str(export)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "'../escaped' must be one path segment" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lib"]
+
+    def test_nan_anchor_is_refused_naming_its_file(self, tmp_path, capsys):
+        lib = tmp_path / "lib"
+        make_flat_library(lib)
+        anchor = {"direction": "forward", "wavelength_nm": 500.0, "loss_db": math.nan}
+        path = edit_metadata(lib / "flat", lambda m: m.update(anchors=[anchor]))
+        assert main(["library", "--library", str(lib), "--export", str(tmp_path / "E")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ipaudit: {path}: anchor 'forward' must be finite")
+        assert not (tmp_path / "E").exists()
 
 
 class TestExitCodes:

@@ -1,6 +1,8 @@
 """Tests for the component library: bundled reference data and disk format."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +124,18 @@ class TestComponentType:
         with pytest.raises(ValueError, match="unknown direction"):
             flat_component(anchors=(Anchor("backward", 500.0, 1.0),))
 
+    @pytest.mark.parametrize("comp_id", [".", "..", "../escaped", "a\\b", "a\0b"])
+    def test_id_must_be_one_path_segment(self, comp_id):
+        with pytest.raises(ValueError, match=f"id {re.escape(repr(comp_id))} must be one path"):
+            flat_component(comp_id=comp_id)
+
+    @pytest.mark.parametrize("field", ["wavelength_nm", "loss_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_anchor_must_be_finite(self, field, value):
+        kwargs = {"direction": "forward", "wavelength_nm": 500.0, "loss_db": 1.0, field: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            Anchor(**kwargs)
+
 
 class TestLibraryRoundTrip:
     def test_reference_library_round_trips_bit_exactly(self, tmp_path):
@@ -173,6 +187,26 @@ class TestLibraryRoundTrip:
     def test_empty_library_directory(self, tmp_path):
         with pytest.raises(ValueError, match="no components"):
             load_library(tmp_path)
+
+    def test_direction_name_collision_writes_nothing(self, tmp_path):
+        grid = canonical_grid()
+        loss = LossSpectrum(grid, np.zeros(grid.size), np.zeros(grid.size, bool))
+        clash = Component(id="zz", kind="custom", losses={"a b": loss, "a-b": loss},
+                          provenance="synthetic")
+        lib = {"aa": flat_component(comp_id="aa"), "zz": clash}
+        with pytest.raises(ValueError, match="collision"):
+            write_library(lib, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_anchor_refusal_names_the_metadata_file(self, tmp_path):
+        comp = flat_component(anchors=(Anchor("forward", 500.0, 10.0),))
+        write_library({comp.id: comp}, tmp_path)
+        meta_path = tmp_path / "flat" / "metadata.json"
+        meta = json.loads(meta_path.read_text())
+        meta["anchors"][0]["loss_db"] = math.nan
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(meta_path))}: anchor 'forward'"):
+            load_component(tmp_path / "flat")
 
     def test_write_is_deterministic(self, tmp_path):
         lib = reference_library()

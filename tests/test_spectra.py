@@ -1,6 +1,8 @@
 """Tests for spectrum loading, run aggregation, insertion loss and resampling."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +13,14 @@ from ipaudit.spectra import (
     Spectrum,
     aggregate_runs,
     canonical_grid,
+    csv_text,
     insertion_loss,
+    json_text,
     load_loss_csv,
     load_spectrum,
+    loss_csv_text,
     resample,
-    write_loss_csv,
+    write_files,
 )
 
 
@@ -365,7 +370,7 @@ class TestLossCsvRoundTrip:
             meta="fixture",
         )
         p = tmp_path / "loss.csv"
-        write_loss_csv(loss, p)
+        p.write_text(loss_csv_text(loss), encoding="utf-8")
         back = load_loss_csv(p)
         assert np.array_equal(back.wavelengths_nm, loss.wavelengths_nm)
         assert np.array_equal(back.loss_db, loss.loss_db)
@@ -386,18 +391,58 @@ class TestLossCsvRoundTrip:
         with pytest.raises(ValueError, match=r"loss\.csv:1: expected header"):
             load_loss_csv(p)
 
-    @pytest.mark.parametrize("floor", ["nan", "inf", "0", "-5"])
+    @pytest.mark.parametrize("floor", ["nan", "inf", "0", "-5", "abc"])
     def test_rejects_a_floor_that_is_not_finite_and_positive(self, tmp_path, floor):
         p = tmp_path / "loss.csv"
         p.write_text(f"# floor_db: {floor}\nwavelength_nm,loss_db,floored\n400,1.0,0\n")
-        with pytest.raises(ValueError, match="floor_db must be finite and positive"):
+        why = "could not convert" if floor == "abc" else "floor_db must be finite and positive"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: {why}"):
             load_loss_csv(p)
 
     def test_roundtrip_without_statistics(self, tmp_path):
         grid = np.array([400.0, 401.0])
         loss = LossSpectrum(grid, [1.0, 2.0], [False, False])
         p = tmp_path / "loss.csv"
-        write_loss_csv(loss, p)
+        p.write_text(loss_csv_text(loss), encoding="utf-8")
         back = load_loss_csv(p)
         assert back.stddev_db is None
         assert np.array_equal(back.loss_db, loss.loss_db)
+
+
+class TestRenderers:
+    def test_csv_cells_round_trip_exactly(self):
+        values = [1e16, 1e-05, -0.0, 5e-324, 0.1]
+        text = csv_text("v,flag", [np.array(values), np.array([1, 0, 1, 0, 1])], ["note: x"])
+        lines = text.splitlines()
+        assert lines[:2] == ["# note: x", "v,flag"]
+        cells = [line.split(",") for line in lines[2:]]
+        got = np.array([float(v) for v, _ in cells])
+        # Compare bit patterns, so -0.0 and the subnormal count too.
+        assert np.array_equal(got.view(np.uint64), np.array(values).view(np.uint64))
+        assert [f for _, f in cells] == ["1", "0", "1", "0", "1"]
+        assert text.endswith("\n") and not text.endswith("\n\n")
+
+    def test_json_refuses_non_finite_numbers(self):
+        assert json_text({"b": [1.5], "a": True}) == '{\n  "a": true,\n  "b": [\n    1.5\n  ]\n}\n'
+        with pytest.raises(ValueError):
+            json_text({"x": math.nan})
+
+
+class TestWriteFiles:
+    def test_writes_every_file_with_the_default_mode(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        targets = {tmp_path / "a.csv": "a\n", tmp_path / "sub" / "b.json": "{}\n"}
+        write_files(targets)
+        for path, text in targets.items():
+            assert path.read_text(encoding="utf-8") == text
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "b.json", "sub"]
+
+    def test_a_directory_target_replaces_nothing(self, tmp_path):
+        (tmp_path / "a.csv").write_text("old\n")
+        (tmp_path / "b.csv").mkdir()
+        with pytest.raises(OSError, match="b.csv is a directory"):
+            write_files({tmp_path / "a.csv": "new\n", tmp_path / "b.csv": "new\n"})
+        assert (tmp_path / "a.csv").read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
