@@ -362,8 +362,16 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "slots" not in doc:
         raise ValueError(f"{path}: chain descriptor must be an object with 'slots'")
+
+    def real(field: str, value) -> float:  # a JSON number; a bool or string is refused
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: {field} must be a number, got {value!r}")
+        return float(value)
+
     slots = []
     for i, slot_doc in enumerate(doc["slots"]):
+        if not isinstance(slot_doc, dict):
+            raise ValueError(f"{path}: slot {i} must be an object, got {slot_doc!r}")
         alts = slot_doc.get("alternatives")
         if not alts:
             raise ValueError(f"{path}: slot {i} has no alternatives")
@@ -376,7 +384,8 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
                     f"{path}: slot {i}: each alternative needs 'component' and 'direction'"
                 ) from exc
         slots.append(Slot(tuple(pairs), name=str(slot_doc.get("name", f"slot{i}"))))
-    chain = Chain(tuple(slots), input_power_dbm=float(doc.get("input_power_dbm", DAMAGE_LIMIT_DBM)))
+    power = doc.get("input_power_dbm", DAMAGE_LIMIT_DBM)
+    chain = Chain(tuple(slots), real("input_power_dbm", power))
     thr_docs = doc.get("thresholds")
     if thr_docs is None:
         thresholds = DEFAULT_THRESHOLDS
@@ -386,12 +395,13 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
                 raise ValueError(f"{path}: threshold {i} needs 'power'")
         thresholds = tuple(
             IpaThreshold(
-                power=float(t["power"]),
+                power=real(f"threshold {i} power", t["power"]),
                 unit=str(t.get("unit", "nW")),
-                wavelength_nm=(None if t.get("wavelength_nm") is None else float(t["wavelength_nm"])),
+                wavelength_nm=(None if t.get("wavelength_nm") is None
+                               else real(f"threshold {i} wavelength_nm", t["wavelength_nm"])),
                 source=str(t.get("source", "")),
             )
-            for t in thr_docs
+            for i, t in enumerate(thr_docs)
         )
         if not thresholds:
             raise ValueError(f"{path}: thresholds list is empty")

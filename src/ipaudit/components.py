@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -114,7 +115,7 @@ class Component:
                 raise ValueError(
                     f"anchor references unknown direction {anchor.direction!r}"
                 )
-        object.__setattr__(self, "losses", dict(self.losses))
+        object.__setattr__(self, "losses", MappingProxyType(dict(self.losses)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ standard deviation kept alongside.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -181,11 +182,13 @@ def _read_csv(path: Path, headers: Sequence[list[str]]) -> tuple[list[str], np.n
     order.  The first other line must be one of `headers`; every later line
     must have as many fields as that header, each a float.  Errors name
     `path:line`.  Rows come back as a 2-d float array, one row per data line.
+    One numpy call parses the lines after the header; where it refuses them, the loop goes on.
     """
     comments: list[str] = []
     n_cols = 0
     values: list[float] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -198,6 +201,11 @@ def _read_csv(path: Path, headers: Sequence[list[str]]) -> tuple[list[str], np.n
                 expected = " or ".join(repr(",".join(h)) for h in headers)
                 raise ValueError(f"{path}:{lineno}: expected header {expected}, got {line!r}")
             n_cols = len(parts)
+            if any(body := lines[lineno:]):  # numpy warns on no data; the loop refuses that
+                with contextlib.suppress(ValueError):
+                    rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+                    if rows.shape[1] == n_cols:
+                        return comments, rows
             continue
         if len(parts) != n_cols:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
@@ -230,15 +238,18 @@ def write_files(files: Mapping[Path, str]) -> None:
 
     Every text is first staged in a fresh temp file beside its target, opened
     exclusively under a random name (mode 0666 minus the umask); only then is
-    each renamed over its target.  Nothing is replaced until everything is
-    rendered and staged, and no temp file outlives the call.
+    each renamed over its target.  Nothing is replaced until all is rendered and
+    staged; no temp file, nor any directory it made and left empty, outlives it.
     """
     staged: dict[Path, Path] = {}
+    made: list[Path] = []  # in the order made, so each comes after its parent
     try:
         for path, text in files.items():
             if path.is_dir():  # refused here rather than half-way through the renames
                 raise IsADirectoryError(f"{path} is a directory")
-            path.parent.mkdir(parents=True, exist_ok=True)
+            if not path.parent.is_dir():
+                made += reversed([d for d in path.parents if not d.exists()])
+                path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
             try:
                 fh = open(tmp, "x", encoding="utf-8")
@@ -252,6 +263,9 @@ def write_files(files: Mapping[Path, str]) -> None:
     finally:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
+        for d in reversed(made):
+            with contextlib.suppress(OSError):  # not empty, or never made
+                d.rmdir()
 
 
 def load_spectrum(path: str | Path) -> Spectrum:

@@ -355,6 +355,74 @@ class TestVulnerabilityBands:
         assert np.array_equal(above, inside)
 
 
+VERDICT_RANK = {"protected": 0, "indeterminate": 1, "vulnerable": 2}
+
+# Per slot, its alternatives as flat curves: (loss_db, floored), where a
+# floored curve holds the floor value.  Whole-dB losses keep every sum exact.
+FLAT_SLOTS = st.lists(
+    st.lists(st.one_of(st.tuples(st.integers(0, 49).map(float), st.just(False)),
+                       st.just((50.0, True))), min_size=1, max_size=3),
+    max_size=3,
+)
+
+
+def flat_chain(slots, input_power_dbm):
+    """Library and chain for FLAT_SLOTS, with a 50 dB floor."""
+    lib = {}
+    for s, alts in enumerate(slots):
+        for a, (loss, floored) in enumerate(alts):
+            flags = np.full(canonical_grid().size, floored)
+            lib[f"s{s}a{a}"] = make_component(f"s{s}a{a}", {"forward": (loss, flags)}, floor=50.0)
+    chain = Chain(
+        tuple(Slot(tuple((f"s{s}a{a}", "forward") for a in range(len(alts))))
+              for s, alts in enumerate(slots)),
+        input_power_dbm=input_power_dbm,
+    )
+    return lib, chain
+
+
+def brute_force_verdict(slots, input_power_dbm, threshold_dbm):
+    """Verdict from the cheapest selection, found by trying every one.
+
+    Ties go to the first cheapest selection in product order, which is the
+    first cheapest alternative in every slot.  Flat curves exceed the
+    threshold everywhere or nowhere."""
+    best = min(itertools.product(*slots), key=lambda sel: math.fsum(loss for loss, _ in sel))
+    if input_power_dbm - math.fsum(loss for loss, _ in best) <= threshold_dbm:
+        return "protected"
+    return "indeterminate" if any(floored for _, floored in best) else "vulnerable"
+
+
+class TestMonotoneVerdicts:
+    """A higher threshold or a weaker probe never makes a verdict worse."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(slots=FLAT_SLOTS, input_power=st.integers(-20, 60),
+           thresholds=st.lists(st.integers(-60, 60), min_size=2, max_size=4))
+    def test_raising_the_threshold(self, slots, input_power, thresholds):
+        thresholds = sorted(thresholds)
+        lib, chain = flat_chain(slots, float(input_power))
+        report = assess_ipa(chain, lib, [IpaThreshold(float(t), "dBm") for t in thresholds])
+        verdicts = [a.verdict for a in report.max_power]
+        assert verdicts == [brute_force_verdict(slots, input_power, t) for t in thresholds]
+        ranks = [VERDICT_RANK[v] for v in verdicts]
+        assert ranks == sorted(ranks, reverse=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(slots=FLAT_SLOTS, threshold=st.integers(-60, 60),
+           powers=st.lists(st.integers(-20, 60), min_size=2, max_size=4))
+    def test_lowering_the_input_power(self, slots, threshold, powers):
+        powers = sorted(powers, reverse=True)
+        verdicts = []
+        for power in powers:
+            lib, chain = flat_chain(slots, float(power))
+            report = assess_ipa(chain, lib, [IpaThreshold(float(threshold), "dBm")])
+            verdicts.append(report.max_power[0].verdict)
+        assert verdicts == [brute_force_verdict(slots, p, threshold) for p in powers]
+        ranks = [VERDICT_RANK[v] for v in verdicts]
+        assert ranks == sorted(ranks, reverse=True)
+
+
 class TestAssessIpa:
     def test_hundred_db_chain_is_protected(self):
         lib = {
@@ -493,6 +561,35 @@ class TestChainConfig:
         p.write_text(json.dumps({"slots": [], "thresholds": [{"power": 3.0}, threshold]}))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: threshold 1 needs 'power'$"):
             load_chain_config(p)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ({"slots": [{"alternatives": [{"component": "a", "direction": "f"}]}, 1]}, "slot 1"),
+            ({"input_power_dbm": "x"}, "input_power_dbm"),
+            ({"input_power_dbm": True}, "input_power_dbm"),
+            ({"input_power_dbm": None}, "input_power_dbm"),
+            ({"thresholds": [{"power": "abc"}]}, "threshold 0 power"),
+            ({"thresholds": [{"power": 3.0}, {"power": False}]}, "threshold 1 power"),
+            ({"thresholds": [{"power": 3.0, "wavelength_nm": True}]}, "threshold 0 wavelength_nm"),
+            ({"thresholds": [{"power": 3.0, "wavelength_nm": "650"}]}, "threshold 0 wavelength_nm"),
+        ],
+        ids=["slot-int", "power-str", "power-bool", "power-null", "threshold-str",
+             "threshold-bool", "wavelength-bool", "wavelength-str"],
+    )
+    def test_refuses_a_value_of_the_wrong_type_naming_the_field(self, tmp_path, edit, field):
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps({"slots": [], **edit}))
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{p}: {field} must be ')}"):
+            load_chain_config(p)
+
+    def test_integer_numbers_are_read_as_floats(self, tmp_path):
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps({"slots": [], "input_power_dbm": 37,
+                                 "thresholds": [{"power": 3, "wavelength_nm": 650}]}))
+        chain, (threshold,) = load_chain_config(p)
+        assert chain.input_power_dbm == 37.0 and type(chain.input_power_dbm) is float
+        assert (threshold.power, threshold.wavelength_nm) == (3.0, 650.0)
 
     def test_rejects_invalid_json(self, tmp_path):
         p = tmp_path / "chain.json"

@@ -226,6 +226,23 @@ class TestChainCommand:
         assert "unknown component" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"slots": [1]}, "slot 0 must be an object, got 1"),
+            ({"slots": [], "input_power_dbm": "x"}, "input_power_dbm must be a number, got 'x'"),
+            ({"slots": [], "input_power_dbm": True}, "input_power_dbm must be a number, got True"),
+        ],
+        ids=["slot-not-object", "power-string", "power-bool"],
+    )
+    def test_descriptor_of_the_wrong_type_exits_one(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "audit.chain.json"
+        cfg.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main(["chain", "--config", str(cfg), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"ipaudit: {cfg}: {message}\n"
+        assert not outdir.exists()
+
     def test_does_not_mutate_the_library(self, tmp_path):
         lib_dir = tmp_path / "lib"
         make_flat_library(lib_dir, db=100.0)
@@ -281,7 +298,9 @@ class TestOutputFiles:
         (export / "voa-em").write_text("x\n")
         assert main(["library", "--export", str(export)]) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
-        assert [p for p in export.rglob("*") if p.is_file()] == [export / "voa-em"]
+        # Nor a directory: the component directories made before the refusal are gone.
+        assert list(export.rglob("*")) == [export / "voa-em"]
+        assert (export / "voa-em").read_text() == "x\n"
 
     def test_export_name_collision_writes_nothing(self, tmp_path, capsys):
         lib = tmp_path / "lib"

@@ -101,6 +101,13 @@ class TestReferenceLibrary:
 
 
 class TestComponentType:
+    def test_losses_are_read_only(self):
+        comp = reference_library()["voa-em"]
+        with pytest.raises(TypeError):
+            comp.losses["0V"] = comp.losses["0V"]
+        with pytest.raises(TypeError):
+            del comp.losses["0V"]
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             flat_component(kind="teleporter")

@@ -3,14 +3,18 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ipaudit.spectra import (
     DEFAULT_FLOOR_DB,
     LossSpectrum,
     Spectrum,
+    _read_csv,
     aggregate_runs,
     canonical_grid,
     csv_text,
@@ -22,6 +26,93 @@ from ipaudit.spectra import (
     resample,
     write_files,
 )
+
+
+def read_csv_oracle(path, headers):
+    """The CSV format defined line by line: the reader as it stood before it
+    handed the data rows to numpy, kept as the reference `_read_csv` must match."""
+    comments = []
+    n_cols = 0
+    values = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line.lstrip("#").strip())
+            continue
+        parts = line.split(",")
+        if not n_cols:
+            if [c.strip() for c in parts] not in headers:
+                expected = " or ".join(repr(",".join(h)) for h in headers)
+                raise ValueError(f"{path}:{lineno}: expected header {expected}, got {line!r}")
+            n_cols = len(parts)
+            continue
+        if len(parts) != n_cols:
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+    if not values:
+        raise ValueError(f"{path}: empty spectrum")
+    return comments, np.array(values).reshape(-1, n_cols)
+
+
+SPECTRUM_HEADERS = [["wavelength_nm", "value"]]
+LOSS_HEADERS = [["wavelength_nm", "loss_db", "floored"],
+                ["wavelength_nm", "loss_db", "floored", "stddev_db"]]
+
+# Cells that numpy and float() both read, that only float() reads (an
+# underscore, non-ASCII digits), and that neither reads.
+_CELLS_BOTH = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from([" 1.5 ", "\t2", "1e5", "-2.5E-3", ".5", "1.", "+7", "nan", "-inf",
+                     "Infinity", "1e400"]),
+)
+_CELLS_ANY = st.one_of(
+    _CELLS_BOTH,
+    st.sampled_from(["1_0", "\u0661\u0662", "\uff13"]),
+    st.sampled_from(["", " ", "abc", "0x10", "1 0", "#"]),
+)
+_FILLER = st.sampled_from(["", "   ", "\t", "# unit: dB", "#", "  # note, 1,2"])
+
+
+@st.composite
+def csv_files(draw):
+    """Text of a CSV file and the header set to read it with.
+
+    About half the files are a header and clean rows.  In the rest, blank,
+    padded and '#' lines fall between rows, and rows may hold a cell only
+    float() reads, a bad or empty cell, one field too few or too many, or a
+    trailing comma, or every row may be one field too short or long.  Blank
+    and '#' lines may precede the header, and line endings mix \\n, \\r\\n
+    and a bare \\r."""
+    headers = draw(st.sampled_from([SPECTRUM_HEADERS, LOSS_HEADERS]))
+    header = draw(st.sampled_from(headers))
+    noisy = draw(st.booleans())
+    width = len(header) + (draw(st.sampled_from([0, 0, -1, 1])) if noisy else 0)
+    lines = draw(st.lists(_FILLER, max_size=2))
+    lines.append(draw(st.sampled_from([",".join(header), " , ".join(header)])))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 5)) if noisy else 5
+        if kind == 0:
+            lines.append(draw(_FILLER))
+            continue
+        n = width + (draw(st.sampled_from([-1, 1])) if kind == 1 else 0)
+        cells = draw(st.lists(_CELLS_ANY if kind == 2 else _CELLS_BOTH, min_size=n, max_size=n))
+        lines.append(",".join(cells) + ("," if kind == 3 else ""))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    return text, headers
+
+
+def read_outcome(reader, path, headers):
+    """Comments and row bits, or the refusal's text."""
+    try:
+        comments, rows = reader(path, headers)
+    except ValueError as exc:
+        return str(exc)
+    return comments, rows.shape, np.ascontiguousarray(rows).view(np.uint64).tolist()
 
 
 def flat(values, w=None, unit="linear-power"):
@@ -143,6 +234,50 @@ class TestLoadSpectrum:
         assert back.wavelengths_nm.tolist() == [400.0, 450.5, 800.0]
         assert back.values.tolist() == [0.1, 2.25e-7, 3.0]
         assert back.unit == "linear-power"
+
+
+class TestReadCsv:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_files())
+    def test_matches_the_line_by_line_format(self, tmp_path, case):
+        text, headers = case
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_outcome(_read_csv, path, headers)
+        assert got == read_outcome(read_csv_oracle, path, headers)
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n# note\r\n"])
+    def test_a_header_alone_is_an_empty_spectrum_without_a_warning(self, tmp_path, body):
+        path = tmp_path / "f.csv"
+        path.write_bytes(f"# unit: dB\nwavelength_nm,value{body}".encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: empty spectrum$"):
+                _read_csv(path, SPECTRUM_HEADERS)
+
+    def test_forms_only_float_reads_give_the_same_rows(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("wavelength_nm,value\n400,1_0\n\u0664\u0660\u0661,2\n")
+        comments, rows = _read_csv(path, SPECTRUM_HEADERS)
+        assert comments == [] and rows.tolist() == [[400.0, 10.0], [401.0, 2.0]]
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("wavelength_nm,value\n400,1\n# mid\n\n401,2,\n", "5: malformed row '401,2,'"),
+            ("wavelength_nm,value\n400,1,0\n401,2,0\n", "2: malformed row '400,1,0'"),
+            ("wavelength_nm,value\n\n400\n", "3: malformed row '400'"),
+        ],
+        ids=["after-a-comment", "every-row-too-long", "one-short-row"],
+    )
+    def test_a_bad_row_names_its_line(self, tmp_path, text, where):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{where}')}$"):
+            _read_csv(path, SPECTRUM_HEADERS)
 
 
 class TestAggregateRuns:
@@ -442,7 +577,9 @@ class TestWriteFiles:
     def test_a_directory_target_replaces_nothing(self, tmp_path):
         (tmp_path / "a.csv").write_text("old\n")
         (tmp_path / "b.csv").mkdir()
+        targets = [tmp_path / "a.csv", tmp_path / "new" / "c.csv",
+                   tmp_path / "new" / "deep" / "d.csv", tmp_path / "b.csv"]
         with pytest.raises(OSError, match="b.csv is a directory"):
-            write_files({tmp_path / "a.csv": "new\n", tmp_path / "b.csv": "new\n"})
+            write_files(dict.fromkeys(targets, "new\n"))
         assert (tmp_path / "a.csv").read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
