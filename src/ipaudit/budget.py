@@ -358,7 +358,7 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ValueError(f"chain descriptor not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer too long to read
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "slots" not in doc:
         raise ValueError(f"{path}: chain descriptor must be an object with 'slots'")
@@ -366,17 +366,25 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
     def real(field: str, value) -> float:  # a JSON number; a bool or string is refused
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{path}: {field} must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{path}: {field} must be a finite number, got {value!r}") from None
+
+    def listed(field: str, value) -> list:  # a JSON array; an object or scalar is refused
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: {field} must be a list, got {value!r}")
+        return value
 
     slots = []
-    for i, slot_doc in enumerate(doc["slots"]):
+    for i, slot_doc in enumerate(listed("slots", doc["slots"])):
         if not isinstance(slot_doc, dict):
             raise ValueError(f"{path}: slot {i} must be an object, got {slot_doc!r}")
         alts = slot_doc.get("alternatives")
         if not alts:
             raise ValueError(f"{path}: slot {i} has no alternatives")
         pairs = []
-        for alt in alts:
+        for alt in listed(f"slot {i} alternatives", alts):
             try:
                 pairs.append((alt["component"], alt["direction"]))
             except (TypeError, KeyError) as exc:
@@ -390,7 +398,7 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
     if thr_docs is None:
         thresholds = DEFAULT_THRESHOLDS
     else:
-        for i, t in enumerate(thr_docs):
+        for i, t in enumerate(listed("thresholds", thr_docs)):
             if not isinstance(t, dict) or "power" not in t:
                 raise ValueError(f"{path}: threshold {i} needs 'power'")
         thresholds = tuple(

@@ -16,6 +16,7 @@ subcommands with exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -137,6 +138,7 @@ def _cmd_library(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ipaudit",

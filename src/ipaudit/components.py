@@ -15,6 +15,7 @@ plus one loss CSV per direction.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -349,9 +350,16 @@ def _build_component(spec: _ComponentSpec) -> Component:
     )
 
 
+@functools.cache
+def _reference_components() -> tuple[Component, ...]:
+    return tuple(_build_component(spec) for spec in _REFERENCE_SPECS)
+
+
 def reference_library() -> dict[str, Component]:
-    """The bundled component library, rebuilt deterministically on each call."""
-    return {spec.id: _build_component(spec) for spec in _REFERENCE_SPECS}
+    """The bundled library: a new dict per call of components built once per
+    process and shared, which is safe as Component, its losses mapping and
+    every spectrum array are read-only."""
+    return {comp.id: comp for comp in _reference_components()}
 
 
 # ---------------------------------------------------------------------------

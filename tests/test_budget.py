@@ -573,9 +573,22 @@ class TestChainConfig:
             ({"thresholds": [{"power": 3.0}, {"power": False}]}, "threshold 1 power"),
             ({"thresholds": [{"power": 3.0, "wavelength_nm": True}]}, "threshold 0 wavelength_nm"),
             ({"thresholds": [{"power": 3.0, "wavelength_nm": "650"}]}, "threshold 0 wavelength_nm"),
+            ({"slots": 5}, "slots"),
+            ({"slots": {"alternatives": []}}, "slots"),
+            ({"slots": [{"alternatives": "ab"}]}, "slot 0 alternatives"),
+            ({"slots": [{"alternatives": 5}]}, "slot 0 alternatives"),
+            ({"thresholds": 5}, "thresholds"),
+            ({"thresholds": {"power": 3}}, "thresholds"),
+            ({"input_power_dbm": 10**400}, "input_power_dbm"),
+            ({"thresholds": [{"power": -(10**400)}]}, "threshold 0 power"),
+            ({"thresholds": [{"power": 3.0, "wavelength_nm": 10**400}]},
+             "threshold 0 wavelength_nm"),
         ],
         ids=["slot-int", "power-str", "power-bool", "power-null", "threshold-str",
-             "threshold-bool", "wavelength-bool", "wavelength-str"],
+             "threshold-bool", "wavelength-bool", "wavelength-str", "slots-int",
+             "slots-object", "alternatives-str", "alternatives-int", "thresholds-int",
+             "thresholds-object", "power-overflows", "threshold-overflows",
+             "wavelength-overflows"],
     )
     def test_refuses_a_value_of_the_wrong_type_naming_the_field(self, tmp_path, edit, field):
         p = tmp_path / "chain.json"
@@ -595,4 +608,14 @@ class TestChainConfig:
         p = tmp_path / "chain.json"
         p.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
+            load_chain_config(p)
+
+    @pytest.mark.parametrize(
+        "raw", [b'{"slots": [], "input_power_dbm": 1' + b"0" * 5000 + b"}", b"\xff{}"],
+        ids=["integer-beyond-the-digit-limit", "not-utf8"],
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, raw):
+        p = tmp_path / "chain.json"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: invalid JSON \("):
             load_chain_config(p)

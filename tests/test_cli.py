@@ -1,5 +1,6 @@
 """Tests for the command-line front end: outputs, exit codes, determinism."""
 
+import faulthandler
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ipaudit.cli import main
+from ipaudit.cli import build_parser, main
 from ipaudit.components import Component, write_library
 from ipaudit.spectra import LossSpectrum, canonical_grid, load_loss_csv
 
@@ -232,8 +233,23 @@ class TestChainCommand:
             ({"slots": [1]}, "slot 0 must be an object, got 1"),
             ({"slots": [], "input_power_dbm": "x"}, "input_power_dbm must be a number, got 'x'"),
             ({"slots": [], "input_power_dbm": True}, "input_power_dbm must be a number, got True"),
+            ({"slots": 5}, "slots must be a list, got 5"),
+            ({"slots": [{"alternatives": 5}]}, "slot 0 alternatives must be a list, got 5"),
+            ({"slots": [{"alternatives": {"component": "voa-em", "direction": "0V"}}]},
+             "slot 0 alternatives must be a list, got {'component': 'voa-em', 'direction': '0V'}"),
+            ({"slots": [], "thresholds": 5}, "thresholds must be a list, got 5"),
+            ({"slots": [], "thresholds": {"power": 3}},
+             "thresholds must be a list, got {'power': 3}"),
+            ({"slots": [], "input_power_dbm": 10**400},
+             f"input_power_dbm must be a finite number, got {10**400}"),
+            ({"slots": [], "thresholds": [{"power": -(10**400)}]},
+             f"threshold 0 power must be a finite number, got {-(10**400)}"),
+            ({"slots": [], "thresholds": [{"power": 3, "wavelength_nm": 10**400}]},
+             f"threshold 0 wavelength_nm must be a finite number, got {10**400}"),
         ],
-        ids=["slot-not-object", "power-string", "power-bool"],
+        ids=["slot-not-object", "power-string", "power-bool", "slots-int", "alternatives-int",
+             "alternatives-object", "thresholds-int", "thresholds-object", "power-overflows",
+             "threshold-power-overflows", "threshold-wavelength-overflows"],
     )
     def test_descriptor_of_the_wrong_type_exits_one(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "audit.chain.json"
@@ -356,10 +372,49 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestRepeatedCalls:
+    """`main` reuses one parser for every call in a process, so no call may
+    see what an earlier one parsed."""
+
+    CHAIN = ["chain", "--config", "audit.chain.json", "--outdir", "out"]
+    SEQUENCE = [
+        ["usd", "--n", "x"],
+        ["--version"],
+        CHAIN + ["--threshold-nw", "1"],
+        CHAIN + ["--threshold-nw", "1"],
+        CHAIN,
+    ]
+
+    def run(self, workdir, argv, capsys, monkeypatch):
+        workdir.mkdir()
+        chain_config(workdir / "audit.chain.json", [("voa-em", "0V")],
+                     thresholds=[{"power": 3.0, "unit": "nW", "source": "descriptor"}])
+        monkeypatch.chdir(workdir)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        return rc, out, err, tree_bytes(workdir)
+
+    def test_each_call_matches_a_first_call(self, tmp_path, capsys, monkeypatch):
+        runs = [self.run(tmp_path / f"seq{i}", argv, capsys, monkeypatch)
+                for i, argv in enumerate(self.SEQUENCE)]
+        for i, argv in enumerate(self.SEQUENCE):
+            build_parser.cache_clear()
+            assert self.run(tmp_path / f"first{i}", argv, capsys, monkeypatch) == runs[i], argv
+        assert [rc for rc, *_ in runs] == [2, 0, 0, 0, 0]
+        assert "invalid int value: 'x'" in runs[0][2]
+        assert runs[1][1] == "ipaudit 0.1.0\n"
+        verdicts = [list(json.loads(files["out/report.json"])["verdicts"]) for *_, files in runs[2:]]
+        assert verdicts == [["1 nW (cli-override)"]] * 2 + [["3 nW (descriptor)"]]
+
+
 class TestFailClosed:
     """Non-finite or unresolvable inputs exit 1 with one diagnostic line and
-    write nothing.  Run as subprocesses with a timeout, because a NaN once
-    sent the J0 series into an endless loop."""
+    write nothing.  A NaN once sent the J0 series into an endless loop, so
+    each case runs under a faulthandler watchdog that dumps the stacks and
+    ends the process after 60 s."""
 
     @pytest.mark.parametrize(
         "argv, fragment",
@@ -388,14 +443,25 @@ class TestFailClosed:
              "losses-floor-nan", "losses-floor-inf", "usd-n-over-gram-cap",
              "usd-alpha-square-overflows", "scw-alpha0-sq-nan", "scw-alpha0-sq-inf"],
     )
-    def test_exits_one_without_outputs(self, tmp_path, argv, fragment):
-        self.assert_refused(tmp_path, argv, fragment)
+    def test_exits_one_without_outputs(self, tmp_path, capsys, argv, fragment):
+        self.assert_refused(tmp_path, capsys, argv, fragment)
 
     @pytest.mark.parametrize("power", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_chain_non_finite_input_power(self, tmp_path, power):
-        self.assert_refused(tmp_path, ["chain"], "input_power_dbm", input_power_dbm=power)
+    def test_chain_non_finite_input_power(self, tmp_path, capsys, power):
+        self.assert_refused(tmp_path, capsys, ["chain"], "input_power_dbm", input_power_dbm=power)
 
-    def assert_refused(self, tmp_path, argv, fragment, input_power_dbm=40.0):
+    def test_python_m_ipaudit_refuses_a_nan_modulation_index(self, tmp_path):
+        outdir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ipaudit", "scw", "--m", "nan", "--outdir", str(outdir)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("ipaudit:") and "J0" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not outdir.exists()
+
+    def assert_refused(self, tmp_path, capsys, argv, fragment, input_power_dbm=40.0):
         outdir = tmp_path / "out"
         if argv[0] == "chain":
             cfg = tmp_path / "audit.chain.json"
@@ -408,13 +474,15 @@ class TestFailClosed:
             argv = argv + ["--ref", str(ref), "--mes", str(mes), "--out", str(outdir / "loss.csv")]
         else:
             argv = argv + ["--outdir", str(outdir)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "ipaudit", *argv],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("ipaudit:") and fragment in proc.stderr
-        assert len(proc.stderr.strip().splitlines()) == 1
+        faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+        try:
+            rc = main(argv)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("ipaudit:") and fragment in err
+        assert len(err.strip().splitlines()) == 1
         assert not outdir.exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for the component library: bundled reference data and disk format."""
 
+import dataclasses
 import json
 import math
 import re
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from ipaudit.components import (
+    _REFERENCE_SPECS,
+    _build_component,
     Anchor,
     Component,
     load_component,
@@ -90,14 +93,49 @@ class TestReferenceLibrary:
         assert curve.loss_db.max() <= 27.0 + 1e-9
 
     def test_rebuild_is_deterministic(self):
+        # The library is built once per process, so compare it with components
+        # built here from the same recipes, field by field and bit for bit.
+        fresh = {spec.id: _build_component(spec) for spec in _REFERENCE_SPECS}
+        shared = reference_library()
+        assert list(shared) == list(fresh)
+        for comp_id, comp in fresh.items():
+            got = shared[comp_id]
+            assert (got.id, got.kind, got.provenance, got.anchors) == (
+                comp.id, comp.kind, comp.provenance, comp.anchors)
+            assert list(got.losses) == list(comp.losses)
+            for direction, loss in comp.losses.items():
+                for field in dataclasses.fields(LossSpectrum):
+                    a = getattr(got.losses[direction], field.name)
+                    b = getattr(loss, field.name)
+                    if isinstance(b, np.ndarray):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                    else:
+                        assert a == b
+
+    def test_each_call_returns_a_new_dict_of_the_same_components(self):
+        a, b = reference_library(), reference_library()
+        assert a is not b
+        assert list(a) == list(b)
+        assert all(a[comp_id] is b[comp_id] for comp_id in a)
+
+    def test_editing_one_dict_does_not_reach_the_next(self):
         a = reference_library()
+        a["extra"] = flat_component("extra")
+        del a["voa-em"]
+        a["cwdm1"] = a["cwdm2"]
         b = reference_library()
-        for comp_id in a:
-            for direction in a[comp_id].losses:
-                assert np.array_equal(
-                    a[comp_id].losses[direction].loss_db,
-                    b[comp_id].losses[direction].loss_db,
-                )
+        assert "extra" not in b
+        assert b["voa-em"].id == "voa-em"
+        assert b["cwdm1"].id == "cwdm1"
+
+    def test_shared_arrays_are_read_only(self):
+        for comp in reference_library().values():
+            for loss in comp.losses.values():
+                for arr in (loss.loss_db, loss.floored, loss.wavelengths_nm):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = arr[1]
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr += arr
 
 
 class TestComponentType:
