@@ -37,7 +37,6 @@ from .scw import (
 )
 from .spectra import (
     DEFAULT_FLOOR_DB,
-    AggregatedSpectrum,
     LossSpectrum,
     Spectrum,
     aggregate_runs,
@@ -51,7 +50,6 @@ from .spectra import (
 from .components import (
     Anchor,
     Component,
-    load_component,
     load_library,
     reference_library,
     write_library,
@@ -60,12 +58,9 @@ from .budget import (
     DAMAGE_LIMIT_DBM,
     DEFAULT_THRESHOLDS,
     AssessmentReport,
-    Band,
     Chain,
-    ChainEnvelope,
     IpaThreshold,
     Slot,
-    ThresholdAssessment,
     assess_ipa,
     convert_power,
     envelope,

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .components import Component
-from .spectra import canonical_grid
+from .spectra import canonical_grid, json_value
 
 __all__ = [
     "DAMAGE_LIMIT_DBM",
@@ -170,7 +170,7 @@ def _exact_colsums(arrays: Sequence[np.ndarray], n_points: int) -> np.ndarray:
     """Pointwise exact sum of loss curves (order-independent via fsum)."""
     if not arrays:
         return np.zeros(n_points)
-    return np.array([math.fsum(col) for col in zip(*arrays)])
+    return np.array([*map(math.fsum, zip(*(a.tolist() for a in arrays)))])
 
 
 @dataclass(frozen=True)
@@ -363,28 +363,14 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
     if not isinstance(doc, dict) or "slots" not in doc:
         raise ValueError(f"{path}: chain descriptor must be an object with 'slots'")
 
-    def real(field: str, value) -> float:  # a JSON number; a bool or string is refused
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{path}: {field} must be a number, got {value!r}")
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError(f"{path}: {field} must be a finite number, got {value!r}") from None
-
-    def listed(field: str, value) -> list:  # a JSON array; an object or scalar is refused
-        if not isinstance(value, list):
-            raise ValueError(f"{path}: {field} must be a list, got {value!r}")
-        return value
-
     slots = []
-    for i, slot_doc in enumerate(listed("slots", doc["slots"])):
-        if not isinstance(slot_doc, dict):
-            raise ValueError(f"{path}: slot {i} must be an object, got {slot_doc!r}")
+    for i, slot_doc in enumerate(json_value(path, "slots", doc["slots"], "a list")):
+        json_value(path, f"slot {i}", slot_doc, "an object")
         alts = slot_doc.get("alternatives")
         if not alts:
             raise ValueError(f"{path}: slot {i} has no alternatives")
         pairs = []
-        for alt in listed(f"slot {i} alternatives", alts):
+        for alt in json_value(path, f"slot {i} alternatives", alts, "a list"):
             try:
                 pairs.append((alt["component"], alt["direction"]))
             except (TypeError, KeyError) as exc:
@@ -393,20 +379,21 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
                 ) from exc
         slots.append(Slot(tuple(pairs), name=str(slot_doc.get("name", f"slot{i}"))))
     power = doc.get("input_power_dbm", DAMAGE_LIMIT_DBM)
-    chain = Chain(tuple(slots), real("input_power_dbm", power))
+    chain = Chain(tuple(slots), json_value(path, "input_power_dbm", power, "a number"))
     thr_docs = doc.get("thresholds")
     if thr_docs is None:
         thresholds = DEFAULT_THRESHOLDS
     else:
-        for i, t in enumerate(listed("thresholds", thr_docs)):
+        for i, t in enumerate(json_value(path, "thresholds", thr_docs, "a list")):
             if not isinstance(t, dict) or "power" not in t:
                 raise ValueError(f"{path}: threshold {i} needs 'power'")
         thresholds = tuple(
             IpaThreshold(
-                power=real(f"threshold {i} power", t["power"]),
+                power=json_value(path, f"threshold {i} power", t["power"], "a number"),
                 unit=str(t.get("unit", "nW")),
                 wavelength_nm=(None if t.get("wavelength_nm") is None
-                               else real(f"threshold {i} wavelength_nm", t["wavelength_nm"])),
+                               else json_value(path, f"threshold {i} wavelength_nm",
+                                               t["wavelength_nm"], "a number")),
                 source=str(t.get("source", "")),
             )
             for i, t in enumerate(thr_docs)

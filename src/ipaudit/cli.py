@@ -30,7 +30,9 @@ from .components import load_library, reference_library, write_library
 from .scw import holevo_curve
 from .spectra import (
     DEFAULT_FLOOR_DB,
+    Cells,
     aggregate_runs,
+    cells,
     csv_text,
     insertion_loss,
     json_text,
@@ -45,7 +47,7 @@ LIBRARY_ENV_VAR = "IPAUDIT_LIBRARY"
 
 
 def _cmd_usd(args: argparse.Namespace) -> int:
-    xs, ps, fs = ratio_curve(args.alpha, args.n, args.x_max, args.step)
+    xs, ps, fs = map(cells, ratio_curve(args.alpha, args.n, args.x_max, args.step))
     prob, ratio = Path(args.outdir, "usd_probability.csv"), Path(args.outdir, "usd_ratio.csv")
     write_files({prob: csv_text("x,p_usd", (xs, ps)), ratio: csv_text("x,f", (xs, fs))})
     print(f"wrote {prob} and {ratio}")
@@ -105,13 +107,15 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         )
     report = assess_ipa(chain, _load_active_library(args), thresholds)
 
-    binding = min(a.threshold_dbm for a in report.max_power)
-    cols = (report.wavelengths_nm, report.p_min_dbm, report.p_max_dbm,
-            np.full(report.wavelengths_nm.size, binding))
+    # report.json takes the cells budget.csv writes: each number is rendered once.
+    w, p_min, p_max = map(cells, (report.wavelengths_nm, report.p_min_dbm, report.p_max_dbm))
+    binding = Cells(cells([min(a.threshold_dbm for a in report.max_power)]) * len(w))
     outdir = Path(args.outdir)
     write_files({
-        outdir / "budget.csv": csv_text("wavelength_nm,p_min_dbm,p_max_dbm,threshold_dbm", cols),
-        outdir / "report.json": json_text(report.to_dict()),
+        outdir / "budget.csv": csv_text("wavelength_nm,p_min_dbm,p_max_dbm,threshold_dbm",
+                                        (w, p_min, p_max, binding)),
+        outdir / "report.json": json_text(
+            report.to_dict() | {"wavelength_nm": w, "p_min_dbm": p_min, "p_max_dbm": p_max}),
     })
     for label, verdict in report.verdicts.items():
         print(f"{label}: {verdict}")

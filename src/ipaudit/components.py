@@ -31,6 +31,7 @@ from .spectra import (
     LossSpectrum,
     canonical_grid,
     json_text,
+    json_value,
     load_loss_csv,
     loss_csv_text,
     write_files,
@@ -414,26 +415,27 @@ def load_component(comp_dir: str | Path) -> Component:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{meta_path}: invalid JSON ({exc})") from exc
     for key in ("id", "kind", "provenance", "directions"):
-        if key not in meta:
+        if key not in json_value(meta_path, "metadata", meta, "an object"):
             raise ValueError(f"{meta_path}: missing key {key!r}")
-    losses = {d: load_loss_csv(comp_dir / fname) for d, fname in meta["directions"].items()}
+    comp_id = json_value(meta_path, "id", meta["id"], "a string")
+    losses = {
+        d: load_loss_csv(comp_dir / json_value(meta_path, f"directions {d!r}", f, "a string"))
+        for d, f in json_value(meta_path, "directions", meta["directions"], "an object").items()
+    }
+    anchors = []
+    for i, a in enumerate(json_value(meta_path, "anchors", meta.get("anchors", []), "a list")):
+        a = json_value(meta_path, f"anchor {i}", a, "an object")
+        wl, db = (json_value(meta_path, f"anchor {i} {k}", a[k], "a number")
+                  for k in ("wavelength_nm", "loss_db"))
+        anchors.append((a["direction"], wl, db, a.get("source", "published-text"),
+                        bool(a.get("is_minimum", False))))
     try:
-        anchors = tuple(
-            Anchor(
-                direction=a["direction"],
-                wavelength_nm=float(a["wavelength_nm"]),
-                loss_db=float(a["loss_db"]),
-                source=a.get("source", "published-text"),
-                is_minimum=bool(a.get("is_minimum", False)),
-            )
-            for a in meta.get("anchors", [])
-        )
         return Component(
-            id=meta["id"],
+            id=comp_id,
             kind=meta["kind"],
             losses=losses,
             provenance=meta["provenance"],
-            anchors=anchors,
+            anchors=tuple(Anchor(*fields) for fields in anchors),
         )
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from exc

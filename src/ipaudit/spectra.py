@@ -218,19 +218,71 @@ def _read_csv(path: Path, headers: Sequence[list[str]]) -> tuple[list[str], np.n
     return comments, np.array(values).reshape(-1, n_cols)
 
 
+class Cells(tuple):
+    """Numbers as text, each the repr of its value: rendered once, then shared by
+    every file that writes them.  `finite` is False if one is NaN or +-inf."""
+
+    __slots__ = ()
+    finite = property(frozenset({"nan", "inf", "-inf"}).isdisjoint)  # no non-finite repr
+
+
+def cells(values) -> Cells:
+    """Each value's repr over `.tolist()`: floats round-trip exactly, ints stay ints."""
+    return Cells(map(repr, np.asarray(values).tolist()))
+
+
 def csv_text(header: str, columns: Sequence, comments: Sequence[str] = ()) -> str:
     """CSV text: a '# ' line per comment, the header, then one row per index.
 
-    Cells are repr over `.tolist()`: floats round-trip exactly, ints stay ints.
+    Every number is the repr of its value, as `cells` renders it; a column
+    given as `Cells` is written as it is.
     """
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    lines = [f"# {c}" for c in comments] + [header] + [",".join(map(repr, r)) for r in rows]
-    return "\n".join(lines) + "\n"
+    rows = map(",".join, zip(*(c if isinstance(c, Cells) else cells(c) for c in columns)))
+    return "\n".join([*(f"# {c}" for c in comments), header, *rows]) + "\n"
 
 
 def json_text(doc) -> str:
-    """Indented, key-sorted JSON text; NaN and inf are refused (RFC 8259)."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """What json.dumps writes for `doc` with an indent of 2, sorted keys and no NaN,
+    plus a newline, a `Cells` standing for the list of its numbers: 2-space indented,
+    key-sorted, ASCII-escaped RFC 8259 JSON; every number is its repr; NaN and
+    +-inf raise ValueError.  Each flat list or object is one C-encoder call."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(doc, indent: str) -> str:
+    inner = indent + "  "
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
+        return json.dumps(doc, allow_nan=False)
+    if isinstance(doc, Cells):
+        if not doc.finite:
+            raise ValueError("Out of range float values are not JSON compliant")
+        items = doc
+    elif not any(issubclass(t, (dict, list, tuple))
+                 for t in set(map(type, doc.values() if isinstance(doc, dict) else doc))):
+        seps = ("," + inner, ": ")  # a flat container: one call, its brackets cut off
+        items = [json.dumps(doc, sort_keys=True, allow_nan=False, separators=seps)[1:-1]]
+    elif isinstance(doc, dict):  # each key as json writes it, str or not
+        items = [json.dumps({k: 0}, allow_nan=False)[1:-4] + ": " + _json(v, inner)
+                 for k, v in sorted(doc.items())]
+    else:
+        items = [_json(v, inner) for v in doc]
+    brackets = "{}" if isinstance(doc, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
+def json_value(path: Path, field: str, value, kind: str):
+    """`value`, read as `field` of JSON file `path`, checked to be `kind`: "a number"
+    (then returned as a float), "a list", "an object" or "a string"; a bool is none
+    of them.  A refusal is one line naming the file and the field."""
+    types = {"a number": (int, float), "a list": list, "an object": dict, "a string": str}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{path}: {field} must be {kind}, got {value!r}")
+    if kind != "a number":
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{path}: {field} must be a finite number, got {value!r}") from None
 
 
 def write_files(files: Mapping[Path, str]) -> None:

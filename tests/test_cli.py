@@ -289,6 +289,33 @@ class TestLibraryCommand:
         err = capsys.readouterr().err
         assert err.startswith("ipaudit:") and "not found" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"directions": ["0V"]}, "directions must be an object, got ['0V']"),
+            ({"directions": {"forward": 5}}, "directions 'forward' must be a string, got 5"),
+            ({"anchors": 5}, "anchors must be a list, got 5"),
+            ({"anchors": [5]}, "anchor 0 must be an object, got 5"),
+            ({"anchors": [{"direction": "forward", "wavelength_nm": None, "loss_db": 1.0}]},
+             "anchor 0 wavelength_nm must be a number, got None"),
+            ({"id": 5}, "id must be a string, got 5"),
+        ],
+        ids=["directions-list", "direction-file-number", "anchors-number", "anchor-number",
+             "anchor-wavelength-null", "id-number"],
+    )
+    def test_metadata_of_the_wrong_type_exits_one(self, tmp_path, capsys, edit, message):
+        make_flat_library(tmp_path / "lib")
+        path = edit_metadata(tmp_path / "lib" / "flat", lambda m: m.update(edit))
+        assert main(["library", "--library", str(tmp_path / "lib")]) == 1
+        assert capsys.readouterr().err == f"ipaudit: {path}: {message}\n"
+
+    def test_metadata_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        make_flat_library(tmp_path / "lib")
+        path = tmp_path / "lib" / "flat" / "metadata.json"
+        path.write_text("5")
+        assert main(["library", "--library", str(tmp_path / "lib")]) == 1
+        assert capsys.readouterr().err == f"ipaudit: {path}: metadata must be an object, got 5\n"
+
 
 class TestOutputFiles:
     """Each subcommand stages all its outputs under fresh random temp names

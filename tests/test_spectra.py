@@ -1,5 +1,6 @@
 """Tests for spectrum loading, run aggregation, insertion loss and resampling."""
 
+import json
 import math
 import os
 import re
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from ipaudit.spectra import (
     DEFAULT_FLOOR_DB,
+    Cells,
     LossSpectrum,
     Spectrum,
     _read_csv,
     aggregate_runs,
     canonical_grid,
+    cells,
     csv_text,
     insertion_loss,
     json_text,
@@ -544,7 +547,108 @@ class TestLossCsvRoundTrip:
         assert np.array_equal(back.loss_db, loss.loss_db)
 
 
+def json_oracle(doc):
+    """The JSON format as the standard library writes it: the reference for json_text."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def csv_oracle(header, columns, comments):
+    """The CSV format written row by row: the reference for csv_text."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = [f"# {c}" for c in comments] + [header] + [",".join(map(repr, r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 1e16, 5e-324, 1e-5, 0.1, 1.7976931348623157e308])
+_INTS = st.integers(-(2**63), 2**63 - 1)
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€😀", "a\"b\\c\n\t", ""])
+_BIG_INTS = st.integers(2**64, 2**300) | st.integers(-(2**300), -(2**64))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _BIG_INTS, _FLOATS, _TEXT).map(
+    lambda v: (v, v))
+# A list of numbers given to json_text as Cells, and to the oracle as the list.
+_CELL_LISTS = (st.lists(_FLOATS, max_size=8) | st.lists(_INTS, max_size=8)).map(
+    lambda v: (cells(v), v))
+
+
+def _containers(children, min_size=0):
+    """Lists, tuples and str-keyed dicts of (json_text doc, oracle doc) pairs."""
+    def split(pairs, kind):
+        return kind(a for a, _ in pairs), kind(b for _, b in pairs)
+
+    return st.one_of(
+        st.lists(children, min_size=min_size, max_size=4).map(lambda ps: split(ps, list)),
+        st.lists(children, min_size=min_size, max_size=4).map(lambda ps: split(ps, tuple)),
+        st.dictionaries(_TEXT, children, min_size=min_size, max_size=4).map(
+            lambda d: ({k: a for k, (a, _) in d.items()}, {k: b for k, (_, b) in d.items()})),
+    )
+
+
+_DOCS = st.recursive(_SCALARS | _CELL_LISTS, _containers, max_leaves=25)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _docs_with_a_non_finite_number(draw):
+    """A doc pair holding NaN or +-inf as a number or in a Cells, among finite values."""
+    bad = draw(_NON_FINITE)
+    doc, oracle = draw(st.sampled_from([(bad, bad), (cells([1.0, bad]), [1.0, bad])]))
+    for _ in range(draw(st.integers(0, 3))):
+        others, where = draw(_containers(_DOCS)), draw(_TEXT)
+        if isinstance(others[0], dict):
+            doc, oracle = {**others[0], where: doc}, {**others[1], where: oracle}
+        else:
+            at = draw(st.integers(0, len(others[0])))
+            doc = type(others[0])([*others[0][:at], doc, *others[0][at:]])
+            oracle = type(others[1])([*others[1][:at], oracle, *others[1][at:]])
+    return doc, oracle
+
+
+@st.composite
+def _csv_tables(draw):
+    """Header, columns (float, int or either as Cells) and comments, and the
+    columns as the oracle is given them."""
+    n = draw(st.integers(0, 6))
+    columns, plain = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        values = np.array(draw(st.lists(draw(st.sampled_from([_FLOATS, _INTS])),
+                                        min_size=n, max_size=n)))
+        plain.append(values)
+        columns.append(cells(values) if draw(st.booleans()) else values)
+    comments = draw(st.lists(st.text(st.characters(exclude_characters="\r\n")), max_size=3))
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    return header, columns, comments, plain
+
+
 class TestRenderers:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=_DOCS)
+    def test_json_is_the_standard_librarys_bytes(self, pair):
+        doc, oracle = pair
+        assert json_text(doc) == json_oracle(oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=_docs_with_a_non_finite_number())
+    def test_json_refuses_a_non_finite_number_anywhere(self, pair):
+        doc, oracle = pair
+        with pytest.raises(ValueError):
+            json_oracle(oracle)
+        with pytest.raises(ValueError):
+            json_text(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_csv_tables())
+    def test_csv_is_the_row_by_row_text(self, table):
+        header, columns, comments, plain = table
+        assert csv_text(header, columns, comments) == csv_oracle(header, plain, comments)
+
+    def test_cells_are_read_only_and_know_if_they_are_finite(self):
+        assert cells(np.array([1, 2])) == ("1", "2") and isinstance(cells([0.5]), Cells)
+        assert cells([0.1, -0.0]).finite and Cells().finite
+        assert not any(cells([1.0, v]).finite for v in (math.nan, math.inf, -math.inf))
+        with pytest.raises(AttributeError):
+            cells([1.0]).finite = False
+
     def test_csv_cells_round_trip_exactly(self):
         values = [1e16, 1e-05, -0.0, 5e-324, 0.1]
         text = csv_text("v,flag", [np.array(values), np.array([1, 0, 1, 0, 1])], ["note: x"])
