@@ -22,12 +22,12 @@ from ipaudit import (
     loss_csv_text,
     resample,
 )
+from ipaudit.spectra import write_files
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_output"
 
 
 def main() -> None:
-    OUT.mkdir(exist_ok=True)
     rng = np.random.default_rng(2024)
 
     # The "instrument" samples every 1.5 nm; analysis runs on the 1 nm grid.
@@ -55,7 +55,7 @@ def main() -> None:
     ref = aggregate_runs([resample(r, analysis_grid) for r in ref_runs])
     mes = aggregate_runs([resample(m, analysis_grid) for m in mes_runs])
     print(f"  {ref.n_runs} runs, mean reference scatter "
-          f"{float(np.mean(ref.stddev / ref.spectrum.values)):.3%}")
+          f"{float(np.mean(ref.stddev / ref.values)):.3%}")
 
     loss = insertion_loss(ref, mes, resample(filters, analysis_grid), floor_db=50.0)
     n_floored = int(loss.floored.sum())
@@ -70,7 +70,7 @@ def main() -> None:
         print(f"  notes: {loss.meta}")
 
     path = OUT / "element_loss.csv"
-    path.write_text(loss_csv_text(loss), encoding="utf-8")
+    write_files({path: loss_csv_text(loss)})
     print(f"  -> {path.name}")
 
 

@@ -13,6 +13,7 @@ Writes demo_output/budget_typical.csv and demo_output/budget_hardened.csv.
 import pathlib
 
 from ipaudit import Chain, Slot, assess_ipa, convert_power, reference_library
+from ipaudit.spectra import csv_text, write_files
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_output"
 
@@ -30,18 +31,14 @@ def audit(name: str, chain: Chain, library) -> None:
             quality = "floored data only" if band.floored_only else "measured data"
             print(f"    band {span:>11}  severity={band.severity}  [{quality}]")
     path = OUT / f"budget_{name}.csv"
-    rows = zip(report.wavelengths_nm, report.p_min_dbm, report.p_max_dbm)
     thr = min(a.threshold_dbm for a in report.max_power)
-    path.write_text(
-        "wavelength_nm,p_min_dbm,p_max_dbm,threshold_dbm\n"
-        + "\n".join(f"{w},{lo},{hi},{thr}" for w, lo, hi in rows)
-        + "\n"
-    )
+    columns = (report.wavelengths_nm, report.p_min_dbm, report.p_max_dbm,
+               [thr] * len(report.wavelengths_nm))
+    write_files({path: csv_text("wavelength_nm,p_min_dbm,p_max_dbm,threshold_dbm", columns)})
     print(f"  -> {path.name}\n")
 
 
 def main() -> None:
-    OUT.mkdir(exist_ok=True)
     library = reference_library()
     print(f"reference library: {len(library)} components")
     print(f"attack threshold: 3 nW = {convert_power(3, 'nW', 'dBm'):.2f} dBm\n")

@@ -13,13 +13,8 @@ Writes demo_output/holevo_vs_dm.csv.
 
 import pathlib
 
-from ipaudit import (
-    bessel_j0,
-    holevo_bound,
-    holevo_curve,
-    sideband_carrier_ratio,
-    sideband_power,
-)
+from ipaudit import bessel_j0, holevo_bound, holevo_curve
+from ipaudit.spectra import csv_text, write_files
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_output"
 
@@ -27,13 +22,12 @@ M_WORK = 0.434  # modulation index giving a 1:10 sideband:carrier split
 
 
 def main() -> None:
-    OUT.mkdir(exist_ok=True)
-
     print("=== Working point ===")
+    carrier = bessel_j0(M_WORK) ** 2  # share of a unit total power; sidebands hold the rest
     print(f"  J0({M_WORK}) = {bessel_j0(M_WORK):.6f}")
-    print(f"  sideband power (|alpha0|^2 = 1): {sideband_power(1.0, M_WORK):.6f}")
+    print(f"  sideband power (|alpha0|^2 = 1): {1.0 - carrier:.6f}")
     print(f"  small-m approximation          : {M_WORK**2 / 2:.6f}")
-    print(f"  sideband : carrier = 1 : {1 / sideband_carrier_ratio(M_WORK):.1f}")
+    print(f"  sideband : carrier = 1 : {carrier / (1.0 - carrier):.1f}")
 
     print("\n=== Holevo bound under index scaling ===")
     baseline = holevo_bound(1.0, M_WORK)
@@ -45,11 +39,7 @@ def main() -> None:
 
     dms, attacked, base = holevo_curve(1.0, M_WORK, dm_max=2.0, step=0.01)
     path = OUT / "holevo_vs_dm.csv"
-    path.write_text(
-        "dm,chi_attacked,chi_baseline\n"
-        + "\n".join(f"{d},{a},{b}" for d, a, b in zip(dms, attacked, base))
-        + "\n"
-    )
+    write_files({path: csv_text("dm,chi_attacked,chi_baseline", (dms, attacked, base))})
     print(f"\n  swept {len(dms)} points -> {path.name}")
 
     print("\n=== Monotone window ===")

@@ -11,23 +11,18 @@ non-integer x *hurts* an unambiguous-discrimination attack.
 Writes plot-ready CSVs into demo_output/.
 """
 
+import math
 import pathlib
 
 import numpy as np
 
-from ipaudit import (
-    gram_matrix,
-    ratio_curve,
-    usd_asymptotic,
-    usd_probability,
-)
+from ipaudit import gram_matrix, ratio_curve, usd_probability
+from ipaudit.spectra import csv_text, write_files
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_output"
 
 
 def main() -> None:
-    OUT.mkdir(exist_ok=True)
-
     print("=== Two-state sanity check (closed form exists) ===")
     for x in (0.25, 0.5, 1.0, 1.5):
         p = usd_probability(1.0, 1, x)
@@ -43,9 +38,7 @@ def main() -> None:
     for n_half in (2, 3, 4):
         xs, _, fs = ratio_curve(alpha_mag=1.0, n_half=n_half)
         path = OUT / f"usd_ratio_n{n_half}.csv"
-        path.write_text(
-            "x,f\n" + "\n".join(f"{x},{f}" for x, f in zip(xs, fs)) + "\n"
-        )
+        write_files({path: csv_text("x,f", (xs, fs))})
         print(
             f"  N={n_half}: f(1)={fs[xs == 1.0][0]:.3f}, "
             f"max={fs.max():.3f}, f(2)={fs[-1]:.2e}  -> {path.name}"
@@ -56,7 +49,8 @@ def main() -> None:
     alpha = np.sqrt(0.01)
     for n_half in (1, 2, 3):
         exact = usd_probability(alpha, n_half, 1.0)
-        approx = usd_asymptotic(alpha, n_half)
+        # Leading term of P(1) as alpha -> 0: 2N * alpha^(2(2N-1)) / (2N-1)!
+        approx = 2 * n_half * alpha ** (2 * (2 * n_half - 1)) / math.factorial(2 * n_half - 1)
         print(f"  N={n_half}: exact {exact:.3e}  asymptotic {approx:.3e}  "
               f"ratio {exact / approx:.4f}")
 

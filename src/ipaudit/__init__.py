@@ -22,7 +22,6 @@ from .statemath import (
     MAX_GRID_POINTS,
     gram_matrix,
     ratio_curve,
-    usd_asymptotic,
     usd_probability,
     usd_ratio,
 )
@@ -32,8 +31,6 @@ from .scw import (
     binary_entropy,
     holevo_bound,
     holevo_curve,
-    sideband_carrier_ratio,
-    sideband_power,
 )
 from .spectra import (
     DEFAULT_FLOOR_DB,

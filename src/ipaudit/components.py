@@ -368,6 +368,10 @@ def reference_library() -> dict[str, Component]:
 # ---------------------------------------------------------------------------
 
 _METADATA_NAME = "metadata.json"
+# Anchor fields in Anchor's order, with the JSON kind each must be.
+_ANCHOR_KINDS = {"direction": "a string", "wavelength_nm": "a number", "loss_db": "a number",
+                 "source": "a string", "is_minimum": "a boolean"}
+_ANCHOR_DEFAULTS = {"source": "published-text", "is_minimum": False}
 
 
 def _direction_filename(direction: str) -> str:
@@ -424,11 +428,11 @@ def load_component(comp_dir: str | Path) -> Component:
     }
     anchors = []
     for i, a in enumerate(json_value(meta_path, "anchors", meta.get("anchors", []), "a list")):
-        a = json_value(meta_path, f"anchor {i}", a, "an object")
-        wl, db = (json_value(meta_path, f"anchor {i} {k}", a[k], "a number")
-                  for k in ("wavelength_nm", "loss_db"))
-        anchors.append((a["direction"], wl, db, a.get("source", "published-text"),
-                        bool(a.get("is_minimum", False))))
+        a = _ANCHOR_DEFAULTS | json_value(meta_path, f"anchor {i}", a, "an object")
+        if missing := [key for key in _ANCHOR_KINDS if key not in a]:
+            raise ValueError(f"{meta_path}: anchor {i} missing key {missing[0]!r}")
+        anchors.append([json_value(meta_path, f"anchor {i} {key}", a[key], kind)
+                        for key, kind in _ANCHOR_KINDS.items()])
     try:
         return Component(
             id=comp_id,

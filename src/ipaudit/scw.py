@@ -1,4 +1,4 @@
-"""Sideband power and eavesdropper information bounds for subcarrier-wave QKD.
+"""Eavesdropper information bounds for subcarrier-wave QKD.
 
 A subcarrier-wave transmitter phase-modulates a carrier with index m; the
 information-carrying sidebands then hold the fraction 1 - J0(m)^2 of the
@@ -29,8 +29,6 @@ __all__ = [
     "HOLEVO_INDEX_MAX",
     "bessel_j0",
     "binary_entropy",
-    "sideband_power",
-    "sideband_carrier_ratio",
     "holevo_bound",
     "holevo_curve",
 ]
@@ -77,33 +75,14 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
-def _check_working_point(alpha0_sq: float, m: float) -> None:
+def holevo_bound(alpha0_sq: float, m: float) -> float:
+    """Eavesdropper information bound chi for the sideband encoding, in bits."""
     if alpha0_sq < 0:
         raise ValueError(f"alpha0_sq must be >= 0, got {alpha0_sq}")
     if not math.isfinite(alpha0_sq):
         raise ValueError(f"alpha0_sq must be finite, got {alpha0_sq}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-
-
-def sideband_power(alpha0_sq: float, m: float) -> float:
-    """Total sideband power alpha0_sq * (1 - J0(m)^2) for total power alpha0_sq
-    and modulation index m."""
-    _check_working_point(alpha0_sq, m)
-    return alpha0_sq * (1.0 - bessel_j0(m) ** 2)
-
-
-def sideband_carrier_ratio(m: float) -> float:
-    """Sideband-to-carrier power ratio (1 - J0(m)^2) / J0(m)^2."""
-    carrier = bessel_j0(m) ** 2
-    if carrier == 0.0:
-        raise ValueError(f"carrier power vanishes at m = {m}")
-    return (1.0 - carrier) / carrier
-
-
-def holevo_bound(alpha0_sq: float, m: float) -> float:
-    """Eavesdropper information bound chi for the sideband encoding, in bits."""
-    _check_working_point(alpha0_sq, m)
     p = (1.0 - math.exp(-alpha0_sq * (1.0 - bessel_j0(2.0 * m) ** 2))) / 2.0
     return binary_entropy(p)
 

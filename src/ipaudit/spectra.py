@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_FLOOR_DB",
     "canonical_grid",
     "Spectrum",
-    "AggregatedSpectrum",
     "LossSpectrum",
     "load_spectrum",
     "aggregate_runs",
@@ -71,58 +70,65 @@ def _freeze(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _check_runs(obj, columns: Mapping[str, type], stddev: str) -> None:
+    """The check both spectrum types share; it freezes the arrays it checks.
+
+    The grid `wavelengths_nm` is non-empty, 1-d, finite and strictly
+    increasing, and each of `columns` is as long, of its dtype, and finite
+    unless bool.  Run statistics: n_runs >= 1, and the `stddev` array is
+    present exactly when n_runs > 1, on the grid, finite and >= 0.
+    """
+    w = _freeze(obj.wavelengths_nm)
+    if w.size == 0:
+        raise ValueError("empty spectrum")
+    if w.ndim != 1 or not np.isfinite(w).all():
+        raise ValueError("wavelengths must be 1-d and finite")
+    if (w[1:] <= w[:-1]).any():
+        raise ValueError("wavelengths must be strictly increasing")
+    object.__setattr__(obj, "wavelengths_nm", w)
+    if not obj.n_runs >= 1:
+        raise ValueError(f"n_runs must be >= 1, got {obj.n_runs}")
+    if (obj.n_runs > 1) != (getattr(obj, stddev) is not None):
+        raise ValueError(f"{stddev} must be present exactly when n_runs > 1")
+    if obj.n_runs > 1:
+        columns = {**columns, stddev: float}
+    for name, dtype in columns.items():
+        a = _freeze(getattr(obj, name), dtype)
+        if a.shape != w.shape:
+            raise ValueError(f"{name} must be on the wavelength grid, got {a.shape} for {w.shape}")
+        if dtype is float and not np.isfinite(a).all():
+            raise ValueError(f"non-finite {name}")
+        if name == stddev and (a < 0).any():
+            raise ValueError(f"{stddev} must be >= 0")
+        object.__setattr__(obj, name, a)
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Wavelength-indexed samples of power (linear) or a level in dB."""
+    """Wavelength-indexed samples of power (linear) or a level in dB.
+
+    A combination of repeated runs records their number in n_runs and, when
+    there is more than one, the pointwise sample standard deviation of the
+    runs (ddof = 1) in stddev; that is the scatter of one run, not the
+    uncertainty of the mean.
+    """
 
     wavelengths_nm: np.ndarray
     values: np.ndarray
     unit: str = UNIT_LINEAR
     meta: str = ""
+    n_runs: int = 1
+    stddev: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        w = np.atleast_1d(np.asarray(self.wavelengths_nm, dtype=float))
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if w.size == 0:
-            raise ValueError("empty spectrum")
-        if w.shape != v.shape or w.ndim != 1:
-            raise ValueError(
-                f"wavelengths and values must be 1-d and equally long, "
-                f"got {w.shape} and {v.shape}"
-            )
-        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(v)):
-            raise ValueError("non-finite wavelength or value")
-        if np.any(np.diff(w) <= 0):
-            raise ValueError("wavelengths must be strictly increasing")
+        _check_runs(self, {"values": float}, "stddev")
         if self.unit not in _UNITS:
             raise ValueError(f"unit must be one of {_UNITS}, got {self.unit!r}")
-        if self.unit == UNIT_LINEAR and np.any(v < 0):
+        if self.unit == UNIT_LINEAR and (self.values < 0).any():
             raise ValueError("linear-power values must be >= 0")
-        object.__setattr__(self, "wavelengths_nm", _freeze(w))
-        object.__setattr__(self, "values", _freeze(v))
 
     def __len__(self) -> int:
         return self.wavelengths_nm.size
-
-
-@dataclass(frozen=True)
-class AggregatedSpectrum:
-    """Mean of repeated runs plus the pointwise sample standard deviation."""
-
-    spectrum: Spectrum
-    stddev: np.ndarray | None
-    n_runs: int
-
-    def __post_init__(self) -> None:
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if (self.n_runs > 1) != (self.stddev is not None):
-            raise ValueError("stddev must be present exactly when n_runs > 1")
-        if self.stddev is not None:
-            s = np.asarray(self.stddev, dtype=float)
-            if s.shape != self.spectrum.wavelengths_nm.shape:
-                raise ValueError("stddev length does not match the spectrum")
-            object.__setattr__(self, "stddev", _freeze(s))
 
 
 @dataclass(frozen=True)
@@ -143,33 +149,13 @@ class LossSpectrum:
     meta: str = ""
 
     def __post_init__(self) -> None:
-        w = np.atleast_1d(np.asarray(self.wavelengths_nm, dtype=float))
-        loss = np.atleast_1d(np.asarray(self.loss_db, dtype=float))
-        fl = np.atleast_1d(np.asarray(self.floored, dtype=bool))
-        if w.size == 0:
-            raise ValueError("empty loss spectrum")
-        if not (w.shape == loss.shape == fl.shape) or w.ndim != 1:
-            raise ValueError("wavelengths, losses and flags must be 1-d and equally long")
-        if np.any(np.diff(w) <= 0):
-            raise ValueError("wavelengths must be strictly increasing")
-        if not np.all(np.isfinite(loss)):
-            raise ValueError("non-finite loss value")
-        if np.any(loss < 0):
+        _check_runs(self, {"loss_db": float, "floored": bool}, "stddev_db")
+        if (self.loss_db < 0).any():
             raise ValueError("losses must be >= 0 dB (clamp before constructing)")
         if not 0 < self.floor_db < math.inf:
             raise ValueError(f"floor_db must be finite and positive, got {self.floor_db}")
-        if np.any(loss[fl] != self.floor_db):
+        if (self.loss_db[self.floored] != self.floor_db).any():
             raise ValueError("floored points must hold exactly the floor value")
-        if (self.n_runs > 1) != (self.stddev_db is not None):
-            raise ValueError("stddev_db must be present exactly when n_runs > 1")
-        object.__setattr__(self, "wavelengths_nm", _freeze(w))
-        object.__setattr__(self, "loss_db", _freeze(loss))
-        object.__setattr__(self, "floored", _freeze(fl, dtype=bool))
-        if self.stddev_db is not None:
-            s = np.atleast_1d(np.asarray(self.stddev_db, dtype=float))
-            if s.shape != w.shape:
-                raise ValueError("stddev_db length does not match the grid")
-            object.__setattr__(self, "stddev_db", _freeze(s))
 
     def __len__(self) -> int:
         return self.wavelengths_nm.size
@@ -272,10 +258,11 @@ def _json(doc, indent: str) -> str:
 
 def json_value(path: Path, field: str, value, kind: str):
     """`value`, read as `field` of JSON file `path`, checked to be `kind`: "a number"
-    (then returned as a float), "a list", "an object" or "a string"; a bool is none
-    of them.  A refusal is one line naming the file and the field."""
-    types = {"a number": (int, float), "a list": list, "an object": dict, "a string": str}[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
+    (then returned as a float), "a list", "an object", "a string" or "a boolean"; a
+    bool is only the last.  A refusal is one line naming the file and the field."""
+    types = {"a number": (int, float), "a list": list, "an object": dict, "a string": str,
+             "a boolean": bool}[kind]
+    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
         raise ValueError(f"{path}: {field} must be {kind}, got {value!r}")
     if kind != "a number":
         return value
@@ -345,20 +332,22 @@ def load_spectrum(path: str | Path) -> Spectrum:
     return Spectrum(w, rows[:, 1], unit=unit, meta=meta)
 
 
-def aggregate_runs(runs: Sequence[Spectrum], mode: str = "mean") -> AggregatedSpectrum:
+def aggregate_runs(runs: Sequence[Spectrum], mode: str = "mean") -> Spectrum:
     """Combine repeated measurement runs taken on one wavelength grid.
 
     mode "mean" (the default, matching how repeated measurements are
     averaged) takes the pointwise arithmetic mean; mode "median" resists
     single-pixel outliers.  The pointwise sample standard deviation is
-    recorded whenever there is more than one run.
+    recorded whenever there is more than one run.  Each run must be a
+    single run: a spectrum that already combines runs is refused.
     """
     if len(runs) == 0:
         raise ValueError("no runs to aggregate")
     if mode not in ("mean", "median"):
         raise ValueError(f"unknown mode {mode!r}; expected 'mean' or 'median'")
     first = runs[0]
-    for r in runs[1:]:
+    for r in runs:
+        _single_run(r, "each run to aggregate")
         if not np.array_equal(r.wavelengths_nm, first.wavelengths_nm):
             raise ValueError("runs are not on identical wavelength grids")
         if r.unit != first.unit:
@@ -368,23 +357,25 @@ def aggregate_runs(runs: Sequence[Spectrum], mode: str = "mean") -> AggregatedSp
     stack = np.vstack([r.values for r in runs])
     center = np.mean(stack, axis=0) if mode == "mean" else np.median(stack, axis=0)
     n = len(runs)
-    stddev = np.std(stack, axis=0, ddof=1) if n > 1 else None
-    combined = Spectrum(
-        first.wavelengths_nm.copy(),
+    return Spectrum(
+        first.wavelengths_nm,
         center,
         unit=first.unit,
         meta=f"{mode} of {n} runs",
+        n_runs=n,
+        stddev=np.std(stack, axis=0, ddof=1) if n > 1 else None,
     )
-    return AggregatedSpectrum(combined, stddev, n)
 
 
-def _as_spectrum(s: Spectrum | AggregatedSpectrum) -> Spectrum:
-    return s.spectrum if isinstance(s, AggregatedSpectrum) else s
+def _single_run(s: Spectrum, role: str) -> None:
+    """Refuse a combined spectrum where its stddev would be dropped."""
+    if s.n_runs > 1:
+        raise ValueError(f"{role} must be a single run, not a combination of {s.n_runs} runs")
 
 
 def insertion_loss(
-    ref: Spectrum | AggregatedSpectrum,
-    mes: Spectrum | AggregatedSpectrum,
+    ref: Spectrum,
+    mes: Spectrum,
     filters: Spectrum | None = None,
     floor_db: float = DEFAULT_FLOOR_DB,
 ) -> LossSpectrum:
@@ -396,28 +387,27 @@ def insertion_loss(
     the floor and flagged; negative computed losses (measurement noise; a
     passive element cannot amplify) are clamped to 0 and noted in meta.
 
-    Run statistics attached to `mes` or `ref` propagate into a pointwise
-    loss standard deviation via first-order error propagation; n_runs is the
-    larger of the two run counts.
+    Run statistics of `mes` or `ref` propagate into a pointwise loss
+    standard deviation via first-order error propagation; n_runs is the
+    larger of the two run counts.  `filters` must be a single run.
     """
-    ref_s = _as_spectrum(ref)
-    mes_s = _as_spectrum(mes)
-    if not np.array_equal(ref_s.wavelengths_nm, mes_s.wavelengths_nm):
+    if not np.array_equal(ref.wavelengths_nm, mes.wavelengths_nm):
         raise ValueError("reference and measurement grids differ; resample first")
-    if ref_s.unit != UNIT_LINEAR or mes_s.unit != UNIT_LINEAR:
+    if ref.unit != UNIT_LINEAR or mes.unit != UNIT_LINEAR:
         raise ValueError("insertion loss expects linear-power spectra")
     if filters is not None:
-        if not np.array_equal(filters.wavelengths_nm, ref_s.wavelengths_nm):
+        if not np.array_equal(filters.wavelengths_nm, ref.wavelengths_nm):
             raise ValueError("filter grid differs; resample first")
+        _single_run(filters, "the filter spectrum")
         tf = filters.values if filters.unit == UNIT_LINEAR else 10.0 ** (filters.values / 10.0)
     else:
-        tf = np.ones_like(ref_s.values)
-    denom = ref_s.values * tf
+        tf = np.ones_like(ref.values)
+    denom = ref.values * tf
     if np.any(denom <= 0):
-        bad = ref_s.wavelengths_nm[np.flatnonzero(denom <= 0)[0]]
+        bad = ref.wavelengths_nm[np.flatnonzero(denom <= 0)[0]]
         raise ValueError(f"zero reference power at {bad} nm")
     with np.errstate(divide="ignore"):
-        loss = -_DB_PER_DECADE * np.log10(mes_s.values / denom)
+        loss = -_DB_PER_DECADE * np.log10(mes.values / denom)
     floored = loss > floor_db
     loss = np.where(floored, floor_db, loss)
     negative = loss < 0
@@ -429,23 +419,20 @@ def insertion_loss(
 
     # First-order propagation of the linear-power scatter into dB; the
     # scatter of both sides, where repeated runs give one, adds in quadrature.
-    scattered = [
-        s for s in (mes, ref) if isinstance(s, AggregatedSpectrum) and s.stddev is not None
-    ]
-    n_runs = max([s.n_runs for s in scattered], default=1)
+    scattered = [s for s in (mes, ref) if s.stddev is not None]
     stddev_db = None
     if scattered:
         rel_sq = np.zeros_like(loss)
         for s in scattered:
             with np.errstate(divide="ignore", invalid="ignore"):
-                rel_sq += np.where(s.spectrum.values > 0, s.stddev / s.spectrum.values, 0.0) ** 2
+                rel_sq += np.where(s.values > 0, s.stddev / s.values, 0.0) ** 2
         stddev_db = (_DB_PER_DECADE / _LN10) * np.sqrt(rel_sq)
     return LossSpectrum(
-        ref_s.wavelengths_nm.copy(),
+        ref.wavelengths_nm,
         loss,
         floored,
         floor_db=floor_db,
-        n_runs=n_runs,
+        n_runs=max(mes.n_runs, ref.n_runs),
         stddev_db=stddev_db,
         meta="; ".join(notes),
     )
@@ -457,8 +444,10 @@ def resample(s: Spectrum, grid: Sequence[float] | np.ndarray) -> Spectrum:
     Interpolation is linear in the stored unit (linear power for raw
     spectra, dB for dB-tagged ones).  Grid points must lie inside the
     sampled range; extrapolation is refused.  Points coinciding with samples
-    pass through exactly.
+    pass through exactly.  Resample each run, then combine them: a spectrum
+    combined from several runs is refused.
     """
+    _single_run(s, "the spectrum to resample")
     grid = np.asarray(grid, dtype=float)
     w = s.wavelengths_nm
     if grid.size == 0:

@@ -12,9 +12,8 @@ small Hermitian Toeplitz matrix.
 
 This module builds the Gram matrices of remapped constellations, a whole
 sweep of them as one stacked array, finds their minimal eigenvalues with one
-batched Hermitian eigensolve, and evaluates the USD probability, its ratio
-against the undistorted x = 1 grid, and the small-amplitude asymptotic of the
-undistorted probability.
+batched Hermitian eigensolve, and evaluates the USD probability and its ratio
+against the undistorted x = 1 grid.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "gram_matrix",
     "usd_probability",
     "usd_ratio",
-    "usd_asymptotic",
     "grid_steps",
     "remap_grid",
     "ratio_curve",
@@ -130,20 +128,6 @@ def usd_ratio(alpha_mag: float, n_half: int, remap_x: float) -> float:
     f(x) = P(x) / P(1).  Raises when the baseline P(1) is not resolvable.
     """
     return float(_usd_curve(alpha_mag, n_half, np.array([remap_x]))[1][0])
-
-
-def usd_asymptotic(alpha_mag: float, n_half: int) -> float:
-    """Small-amplitude approximation of the undistorted USD probability.
-
-    2N * (|alpha|^2)^(2N-1) / (2N-1)!, the leading term of P(x=1) as the
-    amplitude goes to zero.
-    """
-    if alpha_mag < 0:
-        raise ValueError(f"alpha_mag must be >= 0, got {alpha_mag}")
-    if n_half < 1:
-        raise ValueError(f"n_half must be a positive integer, got {n_half}")
-    two_n = 2 * n_half
-    return two_n * alpha_mag ** (2 * (two_n - 1)) / math.factorial(two_n - 1)
 
 
 def grid_steps(span: float, step: float) -> int:

@@ -24,11 +24,10 @@ from ipaudit.budget import (
 )
 from ipaudit.cli import main
 from ipaudit.components import Component, reference_library, write_library
-from ipaudit.scw import holevo_bound, holevo_curve, sideband_power
+from ipaudit.scw import bessel_j0, holevo_bound, holevo_curve
 from ipaudit.spectra import LossSpectrum, Spectrum, canonical_grid, insertion_loss
 from ipaudit.statemath import (
     gram_matrix,
-    usd_asymptotic,
     usd_probability,
     usd_ratio,
 )
@@ -110,9 +109,11 @@ def test_criterion_03_ratio_curve_properties():
 
 def test_criterion_04_small_amplitude_asymptotic():
     alpha = math.sqrt(0.01)
-    ratios = [
-        usd_probability(alpha, n, 1.0) / usd_asymptotic(alpha, n) for n in (1, 2, 3)
-    ]
+    ratios = []
+    for n in (1, 2, 3):
+        # Oracle: the closed form 2N * alpha^(2(2N-1)) / (2N-1)!, the leading term as alpha -> 0.
+        asymptotic = 2 * n * alpha ** (2 * (2 * n - 1)) / math.factorial(2 * n - 1)
+        ratios.append(usd_probability(alpha, n, 1.0) / asymptotic)
     report(
         "criterion 4: small-amplitude asymptotic ratio in [0.98, 1.02] for N=1..3",
         all(0.98 <= r <= 1.02 for r in ratios),
@@ -124,8 +125,8 @@ def test_criterion_05_scw_baseline():
     start = time.perf_counter()
     mp.mp.dps = 40
 
-    sp = sideband_power(1.0, 0.434)
-    ratio = sp / (1.0 - sp)  # carrier holds the rest of a unit total power
+    carrier = bessel_j0(0.434) ** 2  # sidebands hold the rest of a unit total power
+    ratio = (1.0 - carrier) / carrier
     ratio_ok = abs(ratio - 0.100) <= 0.002
 
     chi = holevo_bound(1.0, 0.434)

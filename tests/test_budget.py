@@ -188,6 +188,14 @@ class TestEnvelope:
         assert np.all(env.min_total_db == 10.0)
         assert np.all(env.max_total_db == 20.0)
 
+    def test_a_floored_pick_in_an_earlier_slot_flags_the_total(self):
+        lib = {
+            "floored": make_component("floored", {"forward": (50.0, np.ones(401, bool))}, floor=50.0),
+            "clean": make_component("clean", {"forward": (10.0, None)}),
+        }
+        env = envelope(single_chain(lib["floored"], lib["clean"]), lib)
+        assert env.min_conservative.all() and env.max_conservative.all()
+
     def test_single_alternative_degenerate(self):
         lib = {"a": make_component("a", {"forward": (7.5, None)})}
         env = envelope(single_chain(lib["a"]), lib)
@@ -469,6 +477,16 @@ class TestAssessIpa:
         assessment = report.max_power[0]
         assert assessment.verdict == "indeterminate"
         assert all(b.floored_only for b in assessment.bands)
+
+    def test_partly_floored_band_is_vulnerable(self):
+        grid = canonical_grid()
+        floored = grid <= 600.0
+        vals = np.where(floored, 50.0, 30.0)  # every point lies above 3 nW: one band
+        lib = {"x": make_component("x", {"forward": (vals, floored)}, floor=50.0)}
+        assessment = assess_ipa(single_chain(lib["x"]), lib).max_power[0]
+        assert [(b.lo_nm, b.hi_nm, b.floored_only) for b in assessment.bands] == [
+            (400.0, 800.0, False)]
+        assert assessment.verdict == "vulnerable"
 
     def test_clean_band_beats_floored_band(self):
         grid = canonical_grid()

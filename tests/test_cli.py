@@ -299,15 +299,43 @@ class TestLibraryCommand:
             ({"anchors": [{"direction": "forward", "wavelength_nm": None, "loss_db": 1.0}]},
              "anchor 0 wavelength_nm must be a number, got None"),
             ({"id": 5}, "id must be a string, got 5"),
+            ({"anchors": [{"wavelength_nm": 500.0, "loss_db": 50.0}]},
+             "anchor 0 missing key 'direction'"),
+            ({"anchors": [{"direction": "forward", "loss_db": 50.0}]},
+             "anchor 0 missing key 'wavelength_nm'"),
+            ({"anchors": [{"direction": ["x"], "wavelength_nm": 500.0, "loss_db": 50.0}]},
+             "anchor 0 direction must be a string, got ['x']"),
+            ({"anchors": [{"direction": "forward", "wavelength_nm": 500.0, "loss_db": 50.0,
+                           "is_minimum": "false"}]},
+             "anchor 0 is_minimum must be a boolean, got 'false'"),
+            ({"anchors": [{"direction": "forward", "wavelength_nm": 500.0, "loss_db": 50.0,
+                           "is_minimum": 0}]},
+             "anchor 0 is_minimum must be a boolean, got 0"),
+            ({"anchors": [{"direction": "forward", "wavelength_nm": 500.0, "loss_db": 50.0,
+                           "source": None}]},
+             "anchor 0 source must be a string, got None"),
         ],
         ids=["directions-list", "direction-file-number", "anchors-number", "anchor-number",
-             "anchor-wavelength-null", "id-number"],
+             "anchor-wavelength-null", "id-number", "anchor-direction-missing",
+             "anchor-wavelength-missing", "anchor-direction-list", "anchor-minimum-string",
+             "anchor-minimum-number", "anchor-source-null"],
     )
     def test_metadata_of_the_wrong_type_exits_one(self, tmp_path, capsys, edit, message):
         make_flat_library(tmp_path / "lib")
         path = edit_metadata(tmp_path / "lib" / "flat", lambda m: m.update(edit))
         assert main(["library", "--library", str(tmp_path / "lib")]) == 1
         assert capsys.readouterr().err == f"ipaudit: {path}: {message}\n"
+
+    def test_anchor_defaults_and_a_boolean_minimum_are_read(self, tmp_path, capsys):
+        make_flat_library(tmp_path / "lib")
+        anchors = [{"direction": "forward", "wavelength_nm": 500, "loss_db": 50.0},
+                   {"direction": "forward", "wavelength_nm": 600.0, "loss_db": 50,
+                    "source": "measured", "is_minimum": True}]
+        edit_metadata(tmp_path / "lib" / "flat", lambda m: m.update(anchors=anchors))
+        assert main(["library", "--library", str(tmp_path / "lib")]) == 0
+        out = capsys.readouterr().out
+        assert "  forward: 50.0 dB @ 500.0 nm [published-text]\n" in out
+        assert "  forward: 50.0 dB @ 600.0 nm [measured] (minimum)\n" in out
 
     def test_metadata_that_is_not_an_object_exits_one(self, tmp_path, capsys):
         make_flat_library(tmp_path / "lib")

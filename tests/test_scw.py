@@ -17,8 +17,6 @@ from ipaudit.scw import (
     binary_entropy,
     holevo_bound,
     holevo_curve,
-    sideband_carrier_ratio,
-    sideband_power,
 )
 
 # Frozen oracle values.
@@ -111,21 +109,22 @@ class TestBinaryEntropy:
 
 
 class TestSidebandPower:
+    """The sideband share 1 - J0(m)^2 of a unit total power, from bessel_j0."""
+
     def test_working_point_gives_one_to_ten(self):
-        sp = sideband_power(1.0, 0.434)
-        assert sp == pytest.approx(SIDEBAND_AT_0434, abs=1e-9)
-        assert sp == pytest.approx(0.090910, abs=1e-4)
-        assert sideband_carrier_ratio(0.434) == pytest.approx(0.100, abs=0.002)
+        carrier = bessel_j0(0.434) ** 2
+        assert 1.0 - carrier == pytest.approx(SIDEBAND_AT_0434, abs=1e-9)
+        assert 1.0 - carrier == pytest.approx(0.090910, abs=1e-4)
+        assert (1.0 - carrier) / carrier == pytest.approx(0.100, abs=0.002)
 
     def test_no_modulation_no_sidebands(self):
-        assert sideband_power(1.0, 0.0) == 0.0
-
-    def test_scales_with_total_power(self):
-        assert sideband_power(3.0, 0.3) == pytest.approx(3 * sideband_power(1.0, 0.3), rel=1e-12)
+        assert 1.0 - bessel_j0(0.0) ** 2 == 0.0
 
     def test_domain_error_propagates(self):
         with pytest.raises(ValueError, match="<= 12"):
-            sideband_power(1.0, 13.0)
+            bessel_j0(13.0)
+        with pytest.raises(ValueError, match="<= 12"):
+            holevo_bound(1.0, 6.5)  # J0 of 2m = 13
 
 
 class TestHolevoBound:
@@ -197,12 +196,17 @@ class TestHolevoGain:
 
     @pytest.mark.parametrize("alpha0_sq", [math.nan, math.inf, -1.0])
     def test_rejects_alpha0_sq_outside_zero_to_inf(self, alpha0_sq):
-        for fn in (holevo_bound, sideband_power):
-            with pytest.raises(ValueError, match="alpha0_sq must be"):
-                fn(alpha0_sq, 0.4)
+        with pytest.raises(ValueError, match="alpha0_sq must be"):
+            holevo_bound(alpha0_sq, 0.4)
 
 
 class TestHolevoCurve:
+    def test_window_end_is_inside_the_window(self):
+        m = HOLEVO_INDEX_MAX  # m * dm_max lands exactly on the window's end
+        dms, attacked, _ = holevo_curve(1.0, m, 1.0, 0.01)
+        assert dms[-1] * m == HOLEVO_INDEX_MAX
+        assert attacked[-1] == holevo_bound(1.0, HOLEVO_INDEX_MAX)
+
     def test_shape_and_endpoints(self):
         dms, attacked, baseline = holevo_curve(1.0, 0.434, 2.0, 0.01)
         assert len(dms) == 201

@@ -118,6 +118,21 @@ def read_outcome(reader, path, headers):
     return comments, rows.shape, np.ascontiguousarray(rows).view(np.uint64).tolist()
 
 
+# Grids and run statistics that both spectrum types refuse: (wavelengths,
+# n_runs, stddev, what the one-line refusal names).
+BAD_GRIDS_AND_RUNS = [
+    ([400.0, math.nan], 1, None, "wavelengths must be 1-d and finite"),
+    ([400.0, math.inf], 1, None, "wavelengths must be 1-d and finite"),
+    ([400.0, 401.0], 0, None, "n_runs must be >= 1, got 0"),
+    ([400.0, 401.0], -3, None, "n_runs must be >= 1, got -3"),
+    ([400.0, 401.0], 2, [0.1, math.nan], "non-finite stddev"),
+    ([400.0, 401.0], 2, [0.1, -1.0], "stddev(_db)? must be >= 0"),
+    ([400.0, 401.0], 2, [0.1], "stddev(_db)? must be on the wavelength grid"),
+]
+BAD_IDS = ["nan-wavelength", "inf-wavelength", "zero-runs", "negative-runs", "nan-stddev",
+           "negative-stddev", "short-stddev"]
+
+
 def flat(values, w=None, unit="linear-power"):
     w = np.array([400.0, 401.0, 402.0]) if w is None else np.asarray(w, dtype=float)
     return Spectrum(w, np.full(w.size, float(values)) if np.isscalar(values) else values, unit=unit)
@@ -163,6 +178,12 @@ class TestSpectrumType:
         s = Spectrum([400.0, 401.0], [1.0, 0.5])
         with pytest.raises(ValueError):
             s.values[0] = 2.0
+
+    @pytest.mark.parametrize("w, n_runs, stddev, message", BAD_GRIDS_AND_RUNS, ids=BAD_IDS)
+    def test_rejects_a_bad_grid_or_bad_run_statistics(self, w, n_runs, stddev, message):
+        with pytest.raises(ValueError, match=message) as info:
+            Spectrum(w, [1.0, 1.0], n_runs=n_runs, stddev=stddev)
+        assert "\n" not in str(info.value)
 
     def test_does_not_freeze_caller_arrays(self):
         w = np.array([400.0, 401.0])
@@ -288,13 +309,13 @@ class TestAggregateRuns:
         runs = [flat(1.5) for _ in range(10)]
         agg = aggregate_runs(runs)
         assert agg.n_runs == 10
-        assert np.array_equal(agg.spectrum.values, runs[0].values)
+        assert np.array_equal(agg.values, runs[0].values)
         assert np.all(agg.stddev == 0.0)
 
     def test_two_point_statistics(self):
         runs = [flat(0.9), flat(1.1)]
         agg = aggregate_runs(runs)
-        assert np.allclose(agg.spectrum.values, 1.0)
+        assert np.allclose(agg.values, 1.0)
         assert np.allclose(agg.stddev, math.sqrt(0.02), atol=1e-12)
 
     def test_single_run_has_no_stddev(self):
@@ -305,7 +326,7 @@ class TestAggregateRuns:
     def test_median_mode_resists_outliers(self):
         runs = [flat(1.0), flat(1.0), flat(1.0), flat(100.0)]
         agg = aggregate_runs(runs, mode="median")
-        assert np.all(agg.spectrum.values == 1.0)
+        assert np.all(agg.values == 1.0)
 
     def test_grid_mismatch(self):
         a = flat(1.0, w=[400.0, 401.0])
@@ -316,6 +337,13 @@ class TestAggregateRuns:
     def test_empty_list(self):
         with pytest.raises(ValueError, match="no runs"):
             aggregate_runs([])
+
+    def test_refuses_a_spectrum_already_combined_from_runs(self):
+        combined = aggregate_runs([flat(0.9), flat(1.1)])
+        for runs in ([combined, flat(1.0)], [flat(1.0), combined]):
+            with pytest.raises(ValueError, match="^each run to aggregate must be a single run, "
+                                                 "not a combination of 2 runs$"):
+                aggregate_runs(runs)
 
     def test_noise_averaging_concentrates(self):
         # Zero-mean Gaussian noise of scale sigma: the mean of n runs should
@@ -335,7 +363,7 @@ class TestAggregateRuns:
                 for _ in range(n_runs)
             ]
             agg = aggregate_runs(runs)
-            if np.all(np.abs(agg.spectrum.values - truth) < bound):
+            if np.all(np.abs(agg.values - truth) < bound):
                 passes += 1
         assert passes / trials >= 0.99
 
@@ -375,6 +403,16 @@ class TestInsertionLoss:
         loss = insertion_loss(flat(1.0), flat(1.1))
         assert np.all(loss.loss_db == 0.0)
         assert "clamped" in loss.meta
+
+    def test_loss_exactly_at_the_floor_is_not_flagged(self):
+        loss = insertion_loss(flat(1.0), flat(0.01), floor_db=20.0)
+        assert np.all(loss.loss_db == 20.0)  # -10*log10(0.01) is 20 to the last bit
+        assert not loss.floored.any()
+
+    def test_refuses_a_filter_combined_from_runs(self):
+        filters = aggregate_runs([flat(0.4), flat(0.6)])
+        with pytest.raises(ValueError, match="filter spectrum must be a single run"):
+            insertion_loss(flat(1.0), flat(0.5), filters=filters)
 
     def test_zero_reference_power(self):
         ref = flat(np.array([1.0, 0.0, 1.0]))
@@ -456,6 +494,12 @@ class TestLossSpectrumType:
         with pytest.raises(ValueError, match=">= 0"):
             LossSpectrum([400.0], [-1.0], [False])
 
+    @pytest.mark.parametrize("w, n_runs, stddev, message", BAD_GRIDS_AND_RUNS, ids=BAD_IDS)
+    def test_rejects_a_bad_grid_or_bad_run_statistics(self, w, n_runs, stddev, message):
+        with pytest.raises(ValueError, match=message) as info:
+            LossSpectrum(w, [1.0, 1.0], [False, False], n_runs=n_runs, stddev_db=stddev)
+        assert "\n" not in str(info.value)
+
 
 class TestResample:
     def test_idempotent_on_own_grid(self):
@@ -474,6 +518,12 @@ class TestResample:
             resample(s, [399.0])
         with pytest.raises(ValueError, match="extrapolation"):
             resample(s, [402.5])
+
+    def test_refuses_a_spectrum_combined_from_runs(self):
+        combined = aggregate_runs([flat(0.9), flat(1.1), flat(1.0)])
+        with pytest.raises(ValueError, match="^the spectrum to resample must be a single run, "
+                                             "not a combination of 3 runs$"):
+            resample(combined, [400.5])
 
     def test_values_between_bracketing_samples(self):
         rng = np.random.default_rng(3)
@@ -536,6 +586,18 @@ class TestLossCsvRoundTrip:
         why = "could not convert" if floor == "abc" else "floor_db must be finite and positive"
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: {why}"):
             load_loss_csv(p)
+
+    # A CSV cannot hold a short stddev_db column, so the last case is left out.
+    @pytest.mark.parametrize("w, n_runs, stddev, message", BAD_GRIDS_AND_RUNS[:-1],
+                             ids=BAD_IDS[:-1])
+    def test_rejects_a_bad_grid_or_bad_run_statistics(self, tmp_path, w, n_runs, stddev, message):
+        p = tmp_path / "loss.csv"
+        header = "wavelength_nm,loss_db,floored" + (",stddev_db" if stddev else "")
+        rows = [f"{x!r},1.0,0" + (f",{s!r}" if stddev else "") for x, s in zip(w, stddev or w)]
+        p.write_text("\n".join([f"# n_runs: {n_runs}", header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: {message}") as info:
+            load_loss_csv(p)
+        assert "\n" not in str(info.value)
 
     def test_roundtrip_without_statistics(self, tmp_path):
         grid = np.array([400.0, 401.0])

@@ -19,7 +19,6 @@ from ipaudit.statemath import (
     gram_matrix,
     ratio_curve,
     remap_grid,
-    usd_asymptotic,
     usd_probability,
     usd_ratio,
 )
@@ -30,6 +29,13 @@ P_TWO_STATE_X1 = 0.8646647167633873   # 1 - e^-2
 P_TWO_STATE_X05 = 0.6321205588285577  # 1 - e^-1
 RATIO_X05 = 0.7310585786300049        # (1-e^-1)/(1-e^-2)
 P_EXACT_SMALL = 0.019801326693244698  # 1 - e^-0.02
+
+
+def usd_asymptotic(alpha: float, n_half: int) -> float:
+    """Small-amplitude oracle for the undistorted USD probability: the leading
+    term 2N * alpha^(2(2N-1)) / (2N-1)! of P(x = 1) as alpha goes to zero."""
+    two_n = 2 * n_half
+    return two_n * alpha ** (2 * (two_n - 1)) / math.factorial(two_n - 1)
 
 
 def closed_form_two_state(alpha: float, x: float) -> float:
