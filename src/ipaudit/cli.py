@@ -24,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
+# Every command needs numpy and spectra; each imports the rest itself, so a
+# one-shot run loads only the modules its command uses.
 from . import __version__
-from .budget import IpaThreshold, assess_ipa, load_chain_config
-from .components import load_library, reference_library, write_library
-from .scw import holevo_curve
 from .spectra import (
     DEFAULT_FLOOR_DB,
     Cells,
@@ -41,12 +40,13 @@ from .spectra import (
     resample,
     write_files,
 )
-from .statemath import grid_steps, ratio_curve
 
 LIBRARY_ENV_VAR = "IPAUDIT_LIBRARY"
 
 
 def _cmd_usd(args: argparse.Namespace) -> int:
+    from .statemath import ratio_curve
+
     xs, ps, fs = map(cells, ratio_curve(args.alpha, args.n, args.x_max, args.step))
     prob, ratio = Path(args.outdir, "usd_probability.csv"), Path(args.outdir, "usd_ratio.csv")
     write_files({prob: csv_text("x,p_usd", (xs, ps)), ratio: csv_text("x,f", (xs, fs))})
@@ -55,6 +55,8 @@ def _cmd_usd(args: argparse.Namespace) -> int:
 
 
 def _cmd_scw(args: argparse.Namespace) -> int:
+    from .scw import holevo_curve
+
     dms, attacked, baseline = holevo_curve(args.alpha0_sq, args.m, args.dm, args.step)
     out = Path(args.outdir, "holevo_vs_dm.csv")
     write_files({out: csv_text("dm,chi_attacked,chi_baseline", (dms, attacked, baseline))})
@@ -63,6 +65,8 @@ def _cmd_scw(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    from .statemath import grid_steps
+
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
@@ -95,11 +99,15 @@ def _cmd_losses(args: argparse.Namespace) -> int:
 
 
 def _load_active_library(args: argparse.Namespace):
+    from .components import load_library, reference_library
+
     library = args.library or os.environ.get(LIBRARY_ENV_VAR)
     return load_library(library) if library else reference_library()
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
+    from .budget import IpaThreshold, assess_ipa, load_chain_config
+
     chain, thresholds = load_chain_config(args.config)
     if args.threshold_nw:
         thresholds = tuple(
@@ -124,6 +132,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_library(args: argparse.Namespace) -> int:
+    from .components import write_library
+
     library = _load_active_library(args)
     for comp_id in sorted(library):
         comp = library[comp_id]

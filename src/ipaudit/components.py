@@ -112,11 +112,23 @@ class Component:
                     f"component {self.id!r} direction {direction!r} is not on "
                     "the canonical 400-800 nm grid"
                 )
+        minima = set()
         for anchor in self.anchors:
             if anchor.direction not in self.losses:
                 raise ValueError(
                     f"anchor references unknown direction {anchor.direction!r}"
                 )
+            if not np.any(grid == anchor.wavelength_nm):
+                raise ValueError(
+                    f"anchor {anchor.direction!r} at {anchor.wavelength_nm} nm is not on "
+                    "the canonical 400-800 nm grid"
+                )
+            if anchor.is_minimum:
+                if anchor.direction in minima:
+                    raise ValueError(
+                        f"direction {anchor.direction!r} has more than one minimum anchor"
+                    )
+                minima.add(anchor.direction)
         object.__setattr__(self, "losses", MappingProxyType(dict(self.losses)))
 
 

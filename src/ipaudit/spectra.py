@@ -231,7 +231,7 @@ def json_text(doc) -> str:
     """What json.dumps writes for `doc` with an indent of 2, sorted keys and no NaN,
     plus a newline, a `Cells` standing for the list of its numbers: 2-space indented,
     key-sorted, ASCII-escaped RFC 8259 JSON; every number is its repr; NaN and
-    +-inf raise ValueError.  Each flat list or object is one C-encoder call."""
+    +-inf raise ValueError.  Each list or object is one C-encoder call."""
     return _json(doc, "\n") + "\n"
 
 
@@ -247,11 +247,14 @@ def _json(doc, indent: str) -> str:
                  for t in set(map(type, doc.values() if isinstance(doc, dict) else doc))):
         seps = ("," + inner, ": ")  # a flat container: one call, its brackets cut off
         items = [json.dumps(doc, sort_keys=True, allow_nan=False, separators=seps)[1:-1]]
-    elif isinstance(doc, dict):  # each key as json writes it, str or not
-        items = [json.dumps({k: 0}, allow_nan=False)[1:-4] + ": " + _json(v, inner)
-                 for k, v in sorted(doc.items())]
-    else:
-        items = [_json(v, inner) for v in doc]
+    else:  # one call writes every key and scalar, a line each, as json escapes a
+        # newline inside a string; each nested container, written as 0, is then rendered
+        keys, values = zip(*sorted(doc.items())) if isinstance(doc, dict) else (None, doc)
+        stub = [0 if isinstance(v, (dict, list, tuple)) else v for v in values]
+        lines = json.dumps(stub if keys is None else dict(zip(keys, stub)),
+                           allow_nan=False, separators=("\n", ": "))[1:-1].split("\n")
+        items = [line[:-1] + _json(v, inner) if isinstance(v, (dict, list, tuple)) else line
+                 for line, v in zip(lines, values)]
     brackets = "{}" if isinstance(doc, dict) else "[]"
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 

@@ -314,11 +314,18 @@ class TestLibraryCommand:
             ({"anchors": [{"direction": "forward", "wavelength_nm": 500.0, "loss_db": 50.0,
                            "source": None}]},
              "anchor 0 source must be a string, got None"),
+            ({"anchors": [{"direction": "forward", "wavelength_nm": 123.0, "loss_db": 60.0,
+                           "is_minimum": True}]},
+             "anchor 'forward' at 123.0 nm is not on the canonical 400-800 nm grid"),
+            ({"anchors": [{"direction": "forward", "wavelength_nm": w, "loss_db": 50.0,
+                           "is_minimum": True} for w in (500.0, 600.0)]},
+             "direction 'forward' has more than one minimum anchor"),
         ],
         ids=["directions-list", "direction-file-number", "anchors-number", "anchor-number",
              "anchor-wavelength-null", "id-number", "anchor-direction-missing",
              "anchor-wavelength-missing", "anchor-direction-list", "anchor-minimum-string",
-             "anchor-minimum-number", "anchor-source-null"],
+             "anchor-minimum-number", "anchor-source-null", "anchor-off-the-grid",
+             "second-minimum-anchor"],
     )
     def test_metadata_of_the_wrong_type_exits_one(self, tmp_path, capsys, edit, message):
         make_flat_library(tmp_path / "lib")
@@ -425,6 +432,51 @@ class TestExitCodes:
         main(["library", "--library", "/definitely/not/here"])
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
+
+
+# Prints the ipaudit modules loaded after `import ipaudit.cli` and again after a
+# `usd` run, one JSON list each, around the line the run prints.
+IMPORT_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("ipaudit."))
+import ipaudit.cli
+print(json.dumps(loaded()))
+ipaudit.cli.main(["usd", "--n", "1", "--x-max", "1", "--step", "0.5", "--outdir", sys.argv[1]])
+print(json.dumps(loaded()))
+"""
+
+
+class TestImports:
+    """Each command imports only the modules it runs; the package imports none."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(tmp_path_factory.mktemp("usd"))],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        return json.loads(lines[0]), json.loads(lines[-1])
+
+    def test_the_entry_import_loads_only_what_every_command_uses(self, loaded):
+        assert loaded[0] == ["ipaudit.cli", "ipaudit.spectra", "numpy"]
+
+    def test_usd_loads_neither_components_nor_budget(self, loaded):
+        assert loaded[1] == ["ipaudit.cli", "ipaudit.spectra", "ipaudit.statemath", "numpy"]
+
+    def test_package_names_resolve_to_their_modules_attributes(self):
+        import importlib
+
+        import ipaudit
+
+        for name in ipaudit.__all__:
+            module = importlib.import_module(f"ipaudit.{ipaudit._EXPORTS[name]}")
+            assert getattr(ipaudit, name) is getattr(module, name)
+        assert set(ipaudit.__all__) <= set(dir(ipaudit))
+        with pytest.raises(AttributeError, match="'ipaudit' has no attribute 'usd_asymptotic'"):
+            ipaudit.usd_asymptotic
 
 
 class TestRepeatedCalls:

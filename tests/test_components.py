@@ -169,6 +169,18 @@ class TestComponentType:
         with pytest.raises(ValueError, match="unknown direction"):
             flat_component(anchors=(Anchor("backward", 500.0, 1.0),))
 
+    @pytest.mark.parametrize("wavelength", [123.0, 500.5, 801.0])
+    def test_anchor_must_be_on_the_canonical_grid(self, wavelength):
+        with pytest.raises(ValueError, match=f"at {wavelength} nm is not on the canonical"):
+            flat_component(anchors=(Anchor("forward", wavelength, 10.0),))
+
+    def test_one_minimum_anchor_per_direction(self):
+        flat_component(anchors=(Anchor("forward", 500.0, 10.0, is_minimum=True),
+                                Anchor("forward", 600.0, 10.0)))
+        with pytest.raises(ValueError, match="'forward' has more than one minimum anchor"):
+            flat_component(anchors=(Anchor("forward", 500.0, 10.0, is_minimum=True),
+                                    Anchor("forward", 600.0, 10.0, is_minimum=True)))
+
     @pytest.mark.parametrize("comp_id", [".", "..", "../escaped", "a\\b", "a\0b"])
     def test_id_must_be_one_path_segment(self, comp_id):
         with pytest.raises(ValueError, match=f"id {re.escape(repr(comp_id))} must be one path"):

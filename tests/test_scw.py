@@ -62,6 +62,14 @@ class TestBesselJ0:
         with pytest.raises(ValueError, match="<= 12"):
             bessel_j0(12.000001)
 
+    def test_within_four_eps_of_mpmath_where_holevo_bound_evaluates_it(self):
+        # holevo_bound takes J0(2m) for m up to HOLEVO_INDEX_MAX.  The series
+        # meets 4 eps there; one cut off at 1e-12 instead of 1e-16 errs by ~1e-12.
+        ts = np.linspace(-2 * HOLEVO_INDEX_MAX, 2 * HOLEVO_INDEX_MAX, 241).tolist()
+        with mp.workdps(30):
+            worst = max(abs(mp.mpf(bessel_j0(t)) - mp.besselj(0, t)) for t in ts)
+        assert worst <= 4 * np.finfo(float).eps
+
     @pytest.mark.parametrize("t", [0.5, 2.0, 7.3, 12.0])
     def test_truncation_error_bounded_by_first_omitted_term(self, t):
         # Replay the implementation's stopping rule, then bound the residual
