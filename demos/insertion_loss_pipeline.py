@@ -22,7 +22,7 @@ from ipaudit import (
     loss_csv_text,
     resample,
 )
-from ipaudit.spectra import write_files
+from ipaudit.output import write_files
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_output"
 

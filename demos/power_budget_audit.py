@@ -13,7 +13,7 @@ Writes demo_output/budget_typical.csv and demo_output/budget_hardened.csv.
 import pathlib
 
 from ipaudit import Chain, Slot, assess_ipa, convert_power, reference_library
-from ipaudit.spectra import csv_text, write_files
+from ipaudit.output import csv_text, write_files
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_output"
 

@@ -14,7 +14,7 @@ Writes demo_output/holevo_vs_dm.csv.
 import pathlib
 
 from ipaudit import bessel_j0, holevo_bound, holevo_curve
-from ipaudit.spectra import csv_text, write_files
+from ipaudit.output import csv_text, write_files
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_output"
 

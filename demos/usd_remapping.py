@@ -17,7 +17,7 @@ import pathlib
 import numpy as np
 
 from ipaudit import gram_matrix, ratio_curve, usd_probability
-from ipaudit.spectra import csv_text, write_files
+from ipaudit.output import csv_text, write_files
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_output"
 

@@ -14,7 +14,8 @@ induced-photorefraction probing in the 400-800 nm range:
    loss envelopes and vulnerability verdicts.)
 
 A command-line front end (`ipaudit`, module `ipaudit.cli`) binds the pieces
-into reproducible audit runs and plot-ready CSV exports.
+into reproducible audit runs and plot-ready CSV exports, every file written
+through `output`.
 """
 
 import importlib

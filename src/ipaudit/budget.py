@@ -89,6 +89,10 @@ class IpaThreshold:
             raise ValueError(f"threshold power must be finite, got {self.power} {self.unit}")
         if self.unit == "nW" and self.power <= 0:
             raise ValueError(f"threshold power must be positive, got {self.power} nW")
+        if self.wavelength_nm is not None and not 0 < self.wavelength_nm < math.inf:
+            raise ValueError(
+                f"threshold wavelength_nm must be finite and positive, got {self.wavelength_nm}"
+            )
 
     def to_dbm(self) -> float:
         return convert_power(self.power, self.unit, "dBm")
@@ -358,7 +362,8 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ValueError(f"chain descriptor not found: {path}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer too long to read
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, an integer too
+        # long to read or arrays nested deeper than the parser recurses
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "slots" not in doc:
         raise ValueError(f"{path}: chain descriptor must be an object with 'slots'")
@@ -378,8 +383,9 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
                     f"{path}: slot {i}: each alternative needs 'component' and 'direction'"
                 ) from exc
         slots.append(Slot(tuple(pairs), name=str(slot_doc.get("name", f"slot{i}"))))
-    power = doc.get("input_power_dbm", DAMAGE_LIMIT_DBM)
-    chain = Chain(tuple(slots), json_value(path, "input_power_dbm", power, "a number"))
+    power = json_value(path, "input_power_dbm", doc.get("input_power_dbm", DAMAGE_LIMIT_DBM),
+                       "a number")
+    chain = _in_file(path, Chain, tuple(slots), power)
     thr_docs = doc.get("thresholds")
     if thr_docs is None:
         thresholds = DEFAULT_THRESHOLDS
@@ -388,7 +394,9 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
             if not isinstance(t, dict) or "power" not in t:
                 raise ValueError(f"{path}: threshold {i} needs 'power'")
         thresholds = tuple(
-            IpaThreshold(
+            _in_file(
+                path,
+                IpaThreshold,
                 power=json_value(path, f"threshold {i} power", t["power"], "a number"),
                 unit=str(t.get("unit", "nW")),
                 wavelength_nm=(None if t.get("wavelength_nm") is None
@@ -401,3 +409,11 @@ def load_chain_config(path: str | Path) -> tuple[Chain, tuple[IpaThreshold, ...]
         if not thresholds:
             raise ValueError(f"{path}: thresholds list is empty")
     return chain, thresholds
+
+
+def _in_file(path: Path, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, its refusal prefixed with the file it was read from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -24,22 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-# Every command needs numpy and spectra; each imports the rest itself, so a
-# one-shot run loads only the modules its command uses.
+# Every command needs numpy and the output path; each imports the rest itself,
+# so a one-shot run loads only the modules its command uses.
 from . import __version__
-from .spectra import (
-    DEFAULT_FLOOR_DB,
-    Cells,
-    aggregate_runs,
-    cells,
-    csv_text,
-    insertion_loss,
-    json_text,
-    load_spectrum,
-    loss_csv_text,
-    resample,
-    write_files,
-)
+from .output import Cells, cells, csv_text, json_text, write_files
 
 LIBRARY_ENV_VAR = "IPAUDIT_LIBRARY"
 
@@ -77,6 +65,9 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _cmd_losses(args: argparse.Namespace) -> int:
+    from .spectra import (DEFAULT_FLOOR_DB, aggregate_runs, insertion_loss, load_spectrum,
+                          loss_csv_text, resample)
+
     grid = _parse_grid(args.grid) if args.grid else None
 
     def prepare(paths):
@@ -90,7 +81,8 @@ def _cmd_losses(args: argparse.Namespace) -> int:
     ref = prepare(args.ref)
     mes = prepare(args.mes)
     filters = prepare([args.filters]) if args.filters else None
-    loss = insertion_loss(ref, mes, filters, floor_db=args.floor_db)
+    floor_db = DEFAULT_FLOOR_DB if args.floor_db is None else args.floor_db
+    loss = insertion_loss(ref, mes, filters, floor_db=floor_db)
     out = Path(args.out)
     write_files({out: loss_csv_text(loss)})
     n_floored = int(np.count_nonzero(loss.floored))
@@ -181,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", nargs="+", required=True, help="reference run CSV file(s)")
     p.add_argument("--mes", nargs="+", required=True, help="measurement run CSV file(s)")
     p.add_argument("--filters", type=str, default=None, help="filter transmission CSV")
-    p.add_argument("--floor-db", type=float, default=DEFAULT_FLOOR_DB,
+    p.add_argument("--floor-db", type=float, default=None,
                    help="dynamic-range floor in dB")
     p.add_argument("--grid", type=str, default=None,
                    help="resample runs onto MIN:MAX:STEP nm before combining")

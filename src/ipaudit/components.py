@@ -26,15 +26,14 @@ from typing import Mapping
 
 import numpy as np
 
+from .output import json_text, write_files
 from .spectra import (
     DEFAULT_FLOOR_DB,
     LossSpectrum,
     canonical_grid,
-    json_text,
     json_value,
     load_loss_csv,
     loss_csv_text,
-    write_files,
 )
 
 __all__ = [
@@ -428,7 +427,7 @@ def load_component(comp_dir: str | Path) -> Component:
         raise ValueError(f"{comp_dir}: missing {_METADATA_NAME}")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting too deep
         raise ValueError(f"{meta_path}: invalid JSON ({exc})") from exc
     for key in ("id", "kind", "provenance", "directions"):
         if key not in json_value(meta_path, "metadata", meta, "an object"):

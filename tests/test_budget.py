@@ -97,6 +97,11 @@ class TestIpaThreshold:
         with pytest.raises(ValueError, match="finite"):
             IpaThreshold(power, unit)
 
+    @pytest.mark.parametrize("wavelength", [-5.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_wavelength_that_is_not_finite_and_positive(self, wavelength):
+        with pytest.raises(ValueError, match="wavelength_nm must be finite and positive"):
+            IpaThreshold(3.0, "nW", wavelength_nm=wavelength)
+
 
 def chain_total(chain, lib, selection):
     """Brute-force total loss of one concrete selection, summed with fsum."""

@@ -434,8 +434,8 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
 
-# Prints the ipaudit modules loaded after `import ipaudit.cli` and again after a
-# `usd` run, one JSON list each, around the line the run prints.
+# Prints the ipaudit modules loaded after `import ipaudit.cli`, after a `usd` run
+# and after a later `scw` run, one JSON list each, between the lines the runs print.
 IMPORT_PROBE = """
 import json, sys
 def loaded():
@@ -443,6 +443,8 @@ def loaded():
 import ipaudit.cli
 print(json.dumps(loaded()))
 ipaudit.cli.main(["usd", "--n", "1", "--x-max", "1", "--step", "0.5", "--outdir", sys.argv[1]])
+print(json.dumps(loaded()))
+ipaudit.cli.main(["scw", "--dm", "1", "--step", "0.5", "--outdir", sys.argv[1]])
 print(json.dumps(loaded()))
 """
 
@@ -457,14 +459,17 @@ class TestImports:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        return json.loads(lines[0]), json.loads(lines[-1])
+        return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
 
     def test_the_entry_import_loads_only_what_every_command_uses(self, loaded):
-        assert loaded[0] == ["ipaudit.cli", "ipaudit.spectra", "numpy"]
+        assert loaded[0] == ["ipaudit.cli", "ipaudit.output", "numpy"]
 
     def test_usd_loads_neither_components_nor_budget(self, loaded):
-        assert loaded[1] == ["ipaudit.cli", "ipaudit.spectra", "ipaudit.statemath", "numpy"]
+        assert loaded[1] == ["ipaudit.cli", "ipaudit.output", "ipaudit.statemath", "numpy"]
+
+    def test_scw_leaves_spectra_unloaded(self, loaded):
+        assert loaded[2] == ["ipaudit.cli", "ipaudit.output", "ipaudit.scw",
+                             "ipaudit.statemath", "numpy"]
 
     def test_package_names_resolve_to_their_modules_attributes(self):
         import importlib
@@ -556,6 +561,46 @@ class TestFailClosed:
     @pytest.mark.parametrize("power", [math.nan, math.inf], ids=["nan", "inf"])
     def test_chain_non_finite_input_power(self, tmp_path, capsys, power):
         self.assert_refused(tmp_path, capsys, ["chain"], "input_power_dbm", input_power_dbm=power)
+
+    @pytest.mark.parametrize(
+        "key, literal",
+        [("wavelength_nm", "-5"), ("wavelength_nm", "0"), ("wavelength_nm", "NaN"),
+         ("wavelength_nm", "Infinity"), ("wavelength_nm", "1e309"),
+         ("input_power_dbm", "1e309")],
+        ids=["wavelength-negative", "wavelength-zero", "wavelength-nan", "wavelength-inf",
+             "wavelength-overflows", "input-power-overflows"],
+    )
+    def test_descriptor_number_out_of_range_names_the_file(self, tmp_path, capsys, key,
+                                                           literal):
+        cfg, outdir = tmp_path / "audit.chain.json", tmp_path / "out"
+        if key == "input_power_dbm":
+            chain_config(cfg, [("voa-em", "0V")], input_power_dbm="@")
+        else:
+            chain_config(cfg, [("voa-em", "0V")], thresholds=[{"power": 3.0, key: "@"}])
+        cfg.write_text(cfg.read_text().replace('"@"', literal))
+        assert main(["chain", "--config", str(cfg), "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ipaudit: {cfg}: ") and f"{key} must be finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["chain", "library"])
+    def test_deeply_nested_json_is_refused_naming_the_file(self, tmp_path, capsys, command):
+        outdir = tmp_path / "out"
+        nested = "[" * 100_000 + "]" * 100_000
+        if command == "chain":
+            path = tmp_path / "audit.chain.json"
+            argv = ["chain", "--config", str(path), "--outdir", str(outdir)]
+        else:
+            make_flat_library(tmp_path / "lib")
+            path = tmp_path / "lib" / "flat" / "metadata.json"
+            argv = ["library", "--library", str(tmp_path / "lib"), "--export", str(outdir)]
+        path.write_text(nested)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ipaudit: {path}: invalid JSON (")
+        assert len(err.strip().splitlines()) == 1
+        assert not outdir.exists()
 
     def test_python_m_ipaudit_refuses_a_nan_modulation_index(self, tmp_path):
         outdir = tmp_path / "out"

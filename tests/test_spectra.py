@@ -11,23 +11,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ipaudit.output import Cells, cells, csv_text, json_text, write_files
 from ipaudit.spectra import (
     DEFAULT_FLOOR_DB,
-    Cells,
     LossSpectrum,
     Spectrum,
     _read_csv,
     aggregate_runs,
     canonical_grid,
-    cells,
-    csv_text,
     insertion_loss,
-    json_text,
     load_loss_csv,
     load_spectrum,
     loss_csv_text,
     resample,
-    write_files,
 )
 
 
